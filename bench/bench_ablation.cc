@@ -1,4 +1,5 @@
-// Ablation studies for the design choices called out in DESIGN.md (✦):
+// Ablation studies for the design choices behind the paper substitutions
+// (see docs/BENCHMARKS.md, "Paper substitutions and deviations"):
 //
 //  A. Atom index vs all-pairs unifiability-graph construction (§4.1.4's
 //     "straightforward but inefficient" baseline).
@@ -238,7 +239,9 @@ int main(int argc, char** argv) {
   gopts.planted_clique_size = 6;
   eq::workload::SocialGraph graph = eq::workload::SocialGraph::Generate(gopts);
 
-  std::printf("# Ablations for DESIGN.md design choices\n");
+  std::printf(
+      "# Ablations for the design choices in docs/BENCHMARKS.md "
+      "(Paper substitutions and deviations)\n");
   std::printf("# graph: %u users, %zu edges; runs=%d\n", graph.num_users(),
               graph.num_edges(), flags.runs);
 

@@ -5,13 +5,14 @@
 // the incremental engine and reports total evaluation time; all curves are
 // linear in the number of queries (§5.3.1–§5.3.2).
 //
-// Deviations (documented in EXPERIMENTS.md): the paper's random workload
-// sends every pair to the same destination (ITH), which makes wildcard
-// postconditions ambiguous under the §3.1.1 safety condition as soon as two
-// unpaired queries wait; our engine enforces safety at admission, so this
-// bench draws a random destination per pair and reports the workload
-// composition (answered / failed / rejected-unsafe / pending) so the curves
-// stay interpretable.
+// Deviations (documented in docs/BENCHMARKS.md, "Paper substitutions and
+// deviations"): the paper's random workload sends every pair to the same
+// destination (ITH), which makes wildcard postconditions ambiguous under
+// the §3.1.1 safety condition as soon as two unpaired queries wait; our
+// engine enforces safety at admission, so this bench draws a random
+// destination per pair and reports the workload composition (answered /
+// failed / rejected-unsafe / pending) so the curves stay
+// interpretable.
 
 #include "db/database.h"
 #include <cstdio>

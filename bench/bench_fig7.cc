@@ -11,7 +11,8 @@
 // so this bench reports BOTH the indexed evaluation (our production path)
 // and a deliberately degraded configuration — no indexes, no join
 // reordering, bounded scan budget — that reproduces the blow-up shape of
-// the paper's MySQL 4.1 substrate (see DESIGN.md §4 substitutions).
+// the paper's MySQL 4.1 substrate (see
+// docs/BENCHMARKS.md, "Paper substitutions and deviations").
 
 #include "db/database.h"
 #include <cstdio>

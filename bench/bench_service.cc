@@ -40,7 +40,9 @@
 namespace eq::bench {
 namespace {
 
+using client::Query;
 using service::CoordinationService;
+using TableWrite = db::Storage::TableWrite;
 using service::ServiceMetrics;
 using service::ServiceOptions;
 using service::Ticket;
@@ -167,44 +169,8 @@ RunResult RunOnce(uint32_t shards, size_t pairs, bool disjoint,
   RunResult out;
   Stopwatch sw;
   for (std::string& text : texts) {
-    auto t = svc.SubmitAsync(std::move(text));
+    auto t = svc.Submit(Query::Ir(std::move(text)));
     (void)t;
-  }
-  svc.Drain();
-  out.ms = sw.ElapsedMillis();
-  out.metrics = svc.Metrics();
-  return out;
-}
-
-/// Batched vs one-at-a-time submission: the same disjoint workload pushed
-/// through SubmitBatch in chunks of `batch_size` (1 = the per-query path).
-/// Batching amortizes the submit lock and routing cadence — the win is
-/// client-side submission overhead, not coordination work.
-RunResult RunBatched(uint32_t shards, size_t pairs, size_t batch_size) {
-  ServiceOptions opts;
-  opts.num_shards = shards;
-  opts.max_batch = 256;
-  opts.max_delay_ticks = 4;
-  opts.bootstrap = Bootstrap;
-  CoordinationService svc(opts);
-
-  std::vector<eq::client::Query> queries;
-  queries.reserve(pairs * 2);
-  for (size_t i = 0; i < pairs; ++i) {
-    auto [qa, qb] = Pair(i, /*disjoint=*/true);
-    queries.push_back(eq::client::Query::Ir(std::move(qa)));
-    queries.push_back(eq::client::Query::Ir(std::move(qb)));
-  }
-
-  RunResult out;
-  Stopwatch sw;
-  for (size_t start = 0; start < queries.size(); start += batch_size) {
-    size_t end = std::min(queries.size(), start + batch_size);
-    std::vector<eq::client::Query> chunk(
-        std::make_move_iterator(queries.begin() + start),
-        std::make_move_iterator(queries.begin() + end));
-    auto tickets = svc.SubmitBatch(std::move(chunk));
-    (void)tickets;
   }
   svc.Drain();
   out.ms = sw.ElapsedMillis();
@@ -278,19 +244,17 @@ struct ReactiveStats {
   size_t raced = 0;        ///< rounds a flush raced in and failed the pair
 };
 
-/// Measures write→answer latency of a pending pair completed by
-/// ApplyWrite: `wakeups` on exercises the WriteNotify path (the write
-/// itself re-evaluates the affected partition); off is the old flush-bound
-/// pipeline, where the answer waits for the next tick-driven flush. Both
-/// runs share the exact same tick cadence, so only the wake-up source
-/// differs.
-ReactiveStats RunReactive(bool wakeups, size_t rounds) {
+/// Measures write→answer latency of a pending pair completed by a write:
+/// the WriteNotify path re-evaluates the affected partition from the write
+/// itself. A tick-driven flush cadence runs underneath, so a round whose
+/// flush slips in ahead of the write fails the dataless pair and counts as
+/// raced.
+ReactiveStats RunReactive(size_t rounds) {
   ServiceOptions opts;
   opts.num_shards = 2;
   opts.bootstrap = Bootstrap;
-  opts.write_wakeups = wakeups;
-  // The baseline's only wake-up path: 2ms ticks, flush after 4 ticks with
-  // pending work -> a flush-bound answer lands up to ~8ms after the write.
+  // 2ms ticks, flush after 4 ticks with pending work: a flush lands up to
+  // ~8ms after the pair registers.
   opts.tick_interval = std::chrono::milliseconds(2);
   opts.max_delay_ticks = 4;
   opts.max_batch = 1 << 20;  // never flush on batch size
@@ -305,23 +269,25 @@ ReactiveStats RunReactive(bool wakeups, size_t rounds) {
     // The pending gauge is mirrored after shard op batches; let the
     // previous round's resolution drain out of it so the >= 2 check below
     // observes THIS round's pair, not a stale value (a write posted
-    // before the pair registers would miss the wake-up index and fall
-    // back to flush-bound latency, polluting the reactive sample).
+    // before the pair registers would be picked up by the shard's
+    // registration check instead, measuring submit processing).
     for (int i = 0; i < 2000 && svc.Metrics().pending != 0; ++i) {
       std::this_thread::sleep_for(std::chrono::microseconds(100));
     }
     // Reset the per-shard flush clock (idle ticks accumulate toward the
     // max_delay_ticks deadline): after this, the next tick-driven flush is
-    // a full cadence away, giving the write its ~8ms flush-bound window
-    // instead of an immediate flush that fails the dataless pair.
+    // a full cadence away, giving the write its ~8ms window instead of an
+    // immediate flush that fails the dataless pair.
     svc.FlushAll();
-    auto a = svc.SubmitAsync("{" + rel + "(B, x)} " + rel + "(A, x) :- F(x, " +
-                             dest + ")");
-    auto b = svc.SubmitAsync("{" + rel + "(A, y)} " + rel + "(B, y) :- F(y, " +
-                             dest + ")");
+    auto a = svc.Submit(
+        Query::Ir("{" + rel + "(B, x)} " + rel + "(A, x) :- F(x, " +
+                  dest + ")"));
+    auto b = svc.Submit(
+        Query::Ir("{" + rel + "(A, y)} " + rel + "(B, y) :- F(y, " +
+                  dest + ")"));
     if (!a.ok() || !b.ok()) continue;
-    // Wait until the pair is demonstrably pending on its shard, so both
-    // paths measure pure write→answer latency (not submit processing).
+    // Wait until the pair is demonstrably pending on its shard, so the
+    // round measures pure write→answer latency (not submit processing).
     bool pending = false;
     for (int i = 0; i < 2000 && !a->Done(); ++i) {
       if (svc.Metrics().pending >= 2) {
@@ -335,8 +301,9 @@ ReactiveStats RunReactive(bool wakeups, size_t rounds) {
       continue;
     }
     Stopwatch sw;
-    svc.ApplyWrite("F", {ir::Value::Int(100000 + id),
-                         ir::Value::Str(svc.interner().Intern(dest))});
+    svc.ApplyBatch({TableWrite::Insert(
+        "F", {ir::Value::Int(100000 + id),
+              ir::Value::Str(svc.interner().Intern(dest))})});
     a->Wait();
     b->Wait();
     double ms = sw.ElapsedMillis();
@@ -374,8 +341,8 @@ BurstStats RunWriteBurst(size_t writes) {
   opts.mode = engine::EvalMode::kIncremental;  // wake-up driven only
   CoordinationService svc(opts);
 
-  auto a = svc.SubmitAsync("{RelB(B, x)} RelB(A, x) :- F(x, BurstDest)");
-  auto b = svc.SubmitAsync("{RelB(A, y)} RelB(B, y) :- F(y, BurstDest)");
+  auto a = svc.Submit(Query::Ir("{RelB(B, x)} RelB(A, x) :- F(x, BurstDest)"));
+  auto b = svc.Submit(Query::Ir("{RelB(A, y)} RelB(B, y) :- F(y, BurstDest)"));
   if (!a.ok() || !b.ok()) return {};
   for (int i = 0; i < 2000 && svc.Metrics().pending < 2; ++i) {
     std::this_thread::sleep_for(std::chrono::microseconds(100));
@@ -390,14 +357,16 @@ BurstStats RunWriteBurst(size_t writes) {
   for (size_t w = 0; w < kWriters; ++w) {
     writers.emplace_back([&svc, noise, w, writes] {
       for (size_t i = w; i < writes; i += kWriters) {
-        svc.ApplyWrite("F", {ir::Value::Int(200000 + static_cast<int>(i)),
-                             ir::Value::Str(noise)});
+        svc.ApplyBatch({TableWrite::Insert(
+            "F", {ir::Value::Int(200000 + static_cast<int>(i)),
+                  ir::Value::Str(noise)})});
       }
     });
   }
   for (auto& t : writers) t.join();
-  svc.ApplyWrite("F", {ir::Value::Int(999999),
-                       ir::Value::Str(svc.interner().Intern("BurstDest"))});
+  svc.ApplyBatch({TableWrite::Insert(
+      "F", {ir::Value::Int(999999),
+            ir::Value::Str(svc.interner().Intern("BurstDest"))})});
   a->Wait();
   b->Wait();
   out.total_ms = sw.ElapsedMillis();
@@ -659,27 +628,23 @@ ChurnResult RunStorageChurn(bool gc_on, bool deferred, size_t rows,
       switch (op % 3) {
         case 0: {  // delete one random live row by id
           size_t j = rng.Below(live.size());
-          db::Predicate p;
-          p.And(0, ir::CompareOp::kEq, ir::Value::Int(live[j]));
-          size_t removed = 0;
-          storage.ApplyDelete("C", p, &removed);
+          storage.ApplyBatch({TableWrite::Delete(
+              "C", db::Predicate::Eq(0, ir::Value::Int(live[j])))});
           live[j] = live.back();
           live.pop_back();
           break;
         }
         case 1: {  // insert a fresh row
-          storage.ApplyWrite(
-              "C", {ir::Value::Int(next_id), dest(rng.Below(4))});
+          storage.ApplyBatch({TableWrite::Insert(
+              "C", {ir::Value::Int(next_id), dest(rng.Below(4))})});
           live.push_back(next_id++);
           break;
         }
         default: {  // update one random live row in place (MVCC rewrite)
           size_t j = rng.Below(live.size());
-          db::Predicate p;
-          p.And(0, ir::CompareOp::kEq, ir::Value::Int(live[j]));
-          std::vector<db::ColumnSet> sets = {{1, dest(rng.Below(4))}};
-          size_t updated = 0;
-          storage.ApplyUpdate("C", p, sets, &updated);
+          storage.ApplyBatch({TableWrite::Update(
+              "C", db::Predicate::Eq(0, ir::Value::Int(live[j])),
+              {{1, dest(rng.Below(4))}})});
           break;
         }
       }
@@ -765,40 +730,6 @@ int main(int argc, char** argv) {
           .Set("p99_ms", last.metrics.p99_latency_ms);
     }
   }
-  // Batched vs one-at-a-time submission at a fixed shard count.
-  {
-    uint32_t shards = shard_counts.back();
-    PrintHeader("batched vs one-at-a-time submit (disjoint workload)",
-                "batch_size   queries   total_ms      qps  answered  speedup");
-    double base_qps = 0;
-    for (size_t batch_size : {size_t{1}, size_t{16}, size_t{256},
-                              2 * pairs}) {
-      RunResult last;
-      RunStats stats = Repeat(flags.runs, [&] {
-        last = RunBatched(shards, pairs, batch_size);
-        return last.ms;
-      });
-      double qps =
-          stats.mean_ms > 0 ? 1000.0 * (2 * pairs) / stats.mean_ms : 0;
-      if (base_qps == 0) base_qps = qps;
-      std::printf("%10zu %9zu %10.2f %8.0f %9llu %8.2fx\n", batch_size,
-                  2 * pairs, stats.mean_ms, qps,
-                  (unsigned long long)last.metrics.answered,
-                  base_qps > 0 ? qps / base_qps : 0);
-      auto& row = json.NewRow("submit_batch");
-      row.Set("shards", static_cast<double>(shards))
-          .Set("batch_size", static_cast<double>(batch_size))
-          .Set("queries", static_cast<double>(2 * pairs))
-          .Set("total_ms", stats.mean_ms)
-          .Set("stddev_ms", stats.stddev_ms)
-          .Set("qps", qps)
-          .Set("speedup", base_qps > 0 ? qps / base_qps : 0)
-          .Set("answered", static_cast<double>(last.metrics.answered))
-          .Set("p50_ms", last.metrics.p50_latency_ms)
-          .Set("p99_ms", last.metrics.p99_latency_ms);
-    }
-  }
-
   // Prepare path: pooled edge contexts + fingerprint-keyed plan cache,
   // measured through Canonicalize (prepare work only, no coordination).
   // Cold = distinct shapes, cache off — parse cost on a pooled context,
@@ -894,44 +825,28 @@ int main(int argc, char** argv) {
   }
 
   // Reactive write pipeline: write→answer latency of a pending pair
-  // completed by ApplyWrite, with write-triggered re-evaluation on
-  // (WriteNotify wakes the affected partition immediately) vs off (the
-  // old pipeline: the answer waits for the next tick-driven flush).
+  // completed by a write (WriteNotify wakes the affected partition
+  // immediately).
   {
     size_t rounds = flags.full ? 100 : 30;
     PrintHeader(
         "reactive: write→answer latency (pair pending on the written row)",
-        "path          rounds   mean_ms    p50_ms    max_ms  raced  speedup");
-    ReactiveStats flush_bound = RunReactive(/*wakeups=*/false, rounds);
-    ReactiveStats wakeup = RunReactive(/*wakeups=*/true, rounds);
-    double flush_mean = Mean(flush_bound.ms);
-    double wakeup_mean = Mean(wakeup.ms);
-    struct RowSpec {
-      const char* path;
-      const ReactiveStats* stats;
-      double speedup;
-    } rows[] = {
-        {"flush-bound", &flush_bound, 1.0},
-        {"wakeup", &wakeup, wakeup_mean > 0 ? flush_mean / wakeup_mean : 0},
-    };
-    for (const RowSpec& r : rows) {
-      std::printf("%-12s %7zu %9.3f %9.3f %9.3f %6zu %7.2fx\n", r.path,
-                  r.stats->ms.size(), Mean(r.stats->ms),
-                  Percentile(r.stats->ms, 50), Percentile(r.stats->ms, 100),
-                  r.stats->raced, r.speedup);
-      auto& row = json.NewRow("reactive");
-      row.Set("path", std::string(r.path))
-          .Set("rounds", static_cast<double>(r.stats->ms.size()))
-          .Set("mean_ms", Mean(r.stats->ms))
-          .Set("p50_ms", Percentile(r.stats->ms, 50))
-          .Set("max_ms", Percentile(r.stats->ms, 100))
-          .Set("raced", static_cast<double>(r.stats->raced))
-          .Set("speedup", r.speedup);
-    }
+        "path          rounds   mean_ms    p50_ms    max_ms  raced");
+    ReactiveStats wakeup = RunReactive(rounds);
+    std::printf("%-12s %7zu %9.3f %9.3f %9.3f %6zu\n", "wakeup",
+                wakeup.ms.size(), Mean(wakeup.ms), Percentile(wakeup.ms, 50),
+                Percentile(wakeup.ms, 100), wakeup.raced);
+    auto& row = json.NewRow("reactive");
+    row.Set("path", std::string("wakeup"))
+        .Set("rounds", static_cast<double>(wakeup.ms.size()))
+        .Set("mean_ms", Mean(wakeup.ms))
+        .Set("p50_ms", Percentile(wakeup.ms, 50))
+        .Set("max_ms", Percentile(wakeup.ms, 100))
+        .Set("raced", static_cast<double>(wakeup.raced));
     std::printf(
-        "# wakeup should sit well below flush-bound: the write itself\n"
-        "# re-evaluates the affected pending partition, instead of the\n"
-        "# answer waiting out the flush cadence (~2ms ticks x 4).\n");
+        "# wakeup should sit well below the flush cadence (~2ms ticks x\n"
+        "# 4): the write itself re-evaluates the affected pending\n"
+        "# partition.\n");
   }
 
   // Burst coalescing: under a write storm against a pending pair, the
@@ -1157,8 +1072,7 @@ int main(int argc, char** argv) {
   std::printf(
       "\n# expected shape (on >= 8 cores): disjoint qps grows near-linearly\n"
       "# with shards (>= 3x at 8 shards); hot-group qps stays flat because\n"
-      "# the colocation invariant pins one relation group to one shard;\n"
-      "# batched submit beats one-at-a-time by amortizing the submit lock.\n");
+      "# the colocation invariant pins one relation group to one shard.\n");
   json.WriteFile(flags.json_path);
   return 0;
 }

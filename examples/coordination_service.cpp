@@ -107,8 +107,12 @@ int main() {
   // Live write ingestion: a brand-new Vienna flight lands as a CoW write
   // (only the touched table is copied; a new snapshot version publishes),
   // and a pair coordinating on it answers after the shards refresh.
-  svc.ApplyWrite("F", {ir::Value::Int(800),
-                       ir::Value::Str(svc.interner().Intern("Vienna"))});
+  using TableWrite = db::Storage::TableWrite;
+  auto Str = [&](const char* s) {
+    return ir::Value::Str(svc.interner().Intern(s));
+  };
+  svc.ApplyBatch(
+      {TableWrite::Insert("F", {ir::Value::Int(800), Str("Vienna")})});
   std::printf("\nWrote flight 800 to Vienna (storage now at version %llu)\n",
               (unsigned long long)svc.storage().version());
   auto elaine = session.SubmitIr(
@@ -124,7 +128,7 @@ int main() {
 
   // Reactive write pipeline: the pair below wants Kyoto, which no flight
   // serves yet — both queries match each other and sit PENDING on data.
-  // The ApplyWrite alone answers them: the service posts a WriteNotify to
+  // The write alone answers them: the service posts a WriteNotify to
   // exactly the shard whose pending partition reads F, that shard adopts
   // the fresh snapshot and re-evaluates just that partition. No flush, no
   // tick, no further submission.
@@ -148,8 +152,8 @@ int main() {
     // Let the pair dwell past the 1ms slow-query threshold so the
     // resolution below demonstrably fires the sink.
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    svc.ApplyWrite("F", {ir::Value::Int(900),
-                         ir::Value::Str(svc.interner().Intern("Kyoto"))});
+    svc.ApplyBatch(
+        {TableWrite::Insert("F", {ir::Value::Int(900), Str("Kyoto")})});
     std::printf("Wrote flight 900 to Kyoto — the write wakes them:\n"
                 "  George -> %s\n  Susan  -> %s\n",
                 george->Wait().tuples[0].c_str(),
@@ -159,24 +163,24 @@ int main() {
   // Deletes and updates are first-class writes too (CoW: published
   // snapshots keep the rows they captured). Reroute 136 away from Rome and
   // retract the Vienna flight wholesale.
-  svc.ApplyUpdate("F", 0, ir::Value::Int(136),
-                  {ir::Value::Int(136),
-                   ir::Value::Str(svc.interner().Intern("Naples"))});
+  svc.ApplyBatch({TableWrite::Update(
+      "F", db::Predicate::Eq(0, ir::Value::Int(136)), {{1, Str("Naples")}})});
   size_t removed = 0;
-  svc.ApplyDelete("F", 1, ir::Value::Str(svc.interner().Intern("Vienna")),
-                  &removed);
+  svc.ApplyBatch(
+      {TableWrite::Delete("F", db::Predicate::Eq(1, Str("Vienna")))},
+      &removed);
   std::printf("\nRerouted flight 136 to Naples; retracted %zu Vienna row(s); "
               "storage at version %llu\n",
               removed, (unsigned long long)svc.storage().version());
 
-  // A third user books via a batch, changes their mind, and cancels.
-  auto batch = session.SubmitBatch(
-      {client::Query::Ir("newman: {R(Ghost, z)} R(Newman, z) :- F(z, Rome)")});
-  if (batch.size() == 1 && batch[0].ok()) {
-    session.Cancel(*batch[0]);
-    (*batch[0]).Wait();
+  // A third user books, changes their mind, and cancels.
+  auto newman =
+      session.SubmitIr("newman: {R(Ghost, z)} R(Newman, z) :- F(z, Rome)");
+  if (newman.ok()) {
+    session.Cancel(*newman);
+    newman->Wait();
     std::printf("\nNewman cancelled: %s\n",
-                (*batch[0]).outcome().status.ToString().c_str());
+                newman->outcome().status.ToString().c_str());
   }
 
   std::printf("\n%s", svc.Metrics().ToString().c_str());

@@ -330,7 +330,8 @@ class Shell {
     std::string name;
     db::Row row;
     EQ_RETURN_NOT_OK(ParseInsert(stmt, &svc_->interner(), &name, &row));
-    return svc_->ApplyWrite(name, std::move(row));
+    return svc_->ApplyBatch(
+        {db::Storage::TableWrite::Insert(std::move(name), std::move(row))});
   }
 
   /// SQL DELETE/UPDATE against the staging catalog (pre-start only): the

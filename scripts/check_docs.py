@@ -16,11 +16,19 @@ a dead link. Checked, per file:
   4. trailing whitespace — disallowed outside code fences (it renders as
      a hard break on GitHub, almost always unintentionally).
 
+With --comments, the comments of every C/C++ source file under the
+directories named after it are scanned too: each `Name.md` (or
+`path/Name.md`) they mention must resolve to a file — relative to the
+repository root, to the source file's directory, or, for a bare name, to
+a Markdown file at the root or in docs/. Code comments citing a design
+document that does not exist fail CI the same way a dead link does.
+
 External links (http://, https://, mailto:) are NOT fetched — network
 reachability is not this script's business.
 
-Usage: check_docs.py <file-or-dir> [...]
-       (directories are scanned recursively for *.md)
+Usage: check_docs.py <file-or-dir> [...] [--comments <dir> [...]]
+       (directories are scanned recursively for *.md; --comments
+       directories for *.h, *.cc, *.cpp)
 """
 
 import os
@@ -28,6 +36,9 @@ import re
 import sys
 
 LINK_RE = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)\)")
+MD_MENTION_RE = re.compile(r"(?<![\w./-])((?:[\w-]+/)*[\w-]+\.md)\b")
+CODE_EXTENSIONS = (".h", ".cc", ".cpp")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 HEADING_RE = re.compile(r"^(#{1,6})\s+(.*)$")
 EXTERNAL = ("http://", "https://", "mailto:")
 
@@ -68,11 +79,79 @@ def parse(path):
     return links, slugs, errors
 
 
+def comments(path):
+    """Yields (lineno, text) for every // and /* */ comment in a C/C++
+    source, skipping string and character literals."""
+    with open(path, encoding="utf-8") as f:
+        src = f.read()
+    i, line, n = 0, 1, len(src)
+    while i < n:
+        c = src[i]
+        if c == "\n":
+            line += 1
+        elif c in "\"'":
+            j = i + 1
+            while j < n and src[j] != c and src[j] != "\n":
+                j += 2 if src[j] == "\\" else 1
+            i = j
+        elif src.startswith("//", i):
+            j = src.find("\n", i)
+            j = n if j < 0 else j
+            yield line, src[i + 2:j]
+            i = j
+            continue
+        elif src.startswith("/*", i):
+            j = src.find("*/", i + 2)
+            j = n if j < 0 else j
+            for k, text in enumerate(src[i + 2:j].split("\n")):
+                yield line + k, text
+            line += src.count("\n", i, j)
+            i = j + 2
+            continue
+        i += 1
+
+
+def check_comment_mentions(dirs):
+    """Every `Name.md` a source comment mentions must exist."""
+    bare = {
+        n
+        for d in (ROOT, os.path.join(ROOT, "docs"))
+        if os.path.isdir(d)
+        for n in os.listdir(d)
+        if n.endswith(".md")
+    }
+    errors = []
+    for top in dirs:
+        for root, _dirs, names in os.walk(top):
+            for name in sorted(names):
+                if not name.endswith(CODE_EXTENSIONS):
+                    continue
+                path = os.path.join(root, name)
+                for lineno, text in comments(path):
+                    for mention in MD_MENTION_RE.findall(text):
+                        candidates = [
+                            os.path.join(ROOT, mention),
+                            os.path.join(root, mention),
+                        ]
+                        if any(os.path.exists(c) for c in candidates):
+                            continue
+                        if "/" not in mention and mention in bare:
+                            continue
+                        errors.append(f"{path}:{lineno}: comment cites "
+                                      f"'{mention}', which does not exist")
+    return errors
+
+
 def main():
-    if len(sys.argv) < 2:
+    argv = sys.argv[1:]
+    comment_dirs = []
+    if "--comments" in argv:
+        k = argv.index("--comments")
+        argv, comment_dirs = argv[:k], argv[k + 1:]
+    if not argv:
         raise SystemExit(__doc__)
     files = []
-    for arg in sys.argv[1:]:
+    for arg in argv:
         if os.path.isdir(arg):
             for root, _dirs, names in os.walk(arg):
                 files.extend(
@@ -112,13 +191,17 @@ def main():
                                   f"'{target}' (no heading '#{fragment}' "
                                   f"in {dest})")
 
+    errors.extend(check_comment_mentions(comment_dirs))
+
     if errors:
         print(f"docs check FAILED ({len(errors)} problem(s)):")
         for e in errors:
             print(f"  - {e}")
         return 1
+    scanned = (f"; comments under {', '.join(comment_dirs)} cite only "
+               f"existing docs" if comment_dirs else "")
     print(f"docs check OK: {len(parsed)} file(s), all internal links and "
-          f"anchors resolve")
+          f"anchors resolve{scanned}")
     return 0
 
 

@@ -165,7 +165,7 @@ class Query {
  public:
   Query() = default;
 
-  /// IR text, ir::Parser grammar (today's SubmitAsync path).
+  /// IR text, ir::Parser grammar.
   static Query Ir(std::string text) {
     Query q;
     q.dialect_ = Dialect::kIr;

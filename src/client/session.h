@@ -4,7 +4,6 @@
 #include <string>
 #include <string_view>
 #include <utility>
-#include <vector>
 
 #include "client/query.h"
 #include "service/service.h"
@@ -22,7 +21,7 @@ struct SessionOptions {
 };
 
 /// The client-facing facade over a coordination surface: typed queries in
-/// any dialect, per-submission knobs, batching, and session-level defaults.
+/// any dialect, per-submission knobs, and session-level defaults.
 ///
 ///   client::Session session(&svc, {.default_ttl_ticks = 500});
 ///   auto t = session.SubmitSql(
@@ -57,13 +56,6 @@ class Session {
   Result<service::Ticket> SubmitIr(std::string text,
                                    service::SubmitOptions opts = {}) {
     return Submit(Query::Ir(std::move(text)), std::move(opts));
-  }
-
-  /// Submits a whole batch under one service lock acquisition; one Result
-  /// per query, in order.
-  std::vector<Result<service::Ticket>> SubmitBatch(
-      std::vector<Query> queries, service::SubmitOptions opts = {}) {
-    return svc_->SubmitBatch(std::move(queries), Merge(std::move(opts)));
   }
 
   /// Executes one SQL DELETE or UPDATE statement (see

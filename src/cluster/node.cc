@@ -172,14 +172,6 @@ Result<Ticket> ClusterService::Submit(client::Query query,
   return ticket;
 }
 
-std::vector<Result<Ticket>> ClusterService::SubmitBatch(
-    std::vector<client::Query> queries, service::SubmitOptions opts) {
-  std::vector<Result<Ticket>> out;
-  out.reserve(queries.size());
-  for (auto& q : queries) out.push_back(Submit(std::move(q), opts));
-  return out;
-}
-
 Status ClusterService::Cancel(const Ticket& ticket) {
   if (!ticket.valid()) return Status::InvalidArgument("empty ticket");
   Proxy proxy;

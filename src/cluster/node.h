@@ -97,9 +97,6 @@ class ClusterService : public service::CoordinationInterface {
   // --- the CoordinationInterface surface (client::Session binds here) ---
   Result<service::Ticket> Submit(client::Query query,
                                  service::SubmitOptions opts = {}) override;
-  std::vector<Result<service::Ticket>> SubmitBatch(
-      std::vector<client::Query> queries,
-      service::SubmitOptions opts = {}) override;
   Status Cancel(const service::Ticket& ticket) override;
   Result<size_t> ExecuteWrite(std::string_view sql) override;
   service::ServiceMetrics Metrics() const override;
@@ -205,7 +202,7 @@ class ClusterNode {
   ClusterService& service() { return *cluster_; }
   /// The embedded single-node service (tests/diagnostics: FlushAll,
   /// AdvanceTicks, storage inspection). READ-ONLY in spirit on a cluster
-  /// node: writes applied here directly (ApplyWrite/ApplyBatch/
+  /// node: writes applied here directly (ApplyBatch/
   /// ExecuteWrite) update local storage and wake local queries but ship
   /// NO delta — followers stay stale until the next write through
   /// service().ExecuteWrite. All cluster writes must go through the

@@ -15,7 +15,8 @@ namespace eq::core {
 /// reading of §3.1.1 in which a query's own head atoms count as potential
 /// satisfiers of its own postconditions. The default (false) matches the
 /// paper's §5.3 experimental workloads, which are only safe when a query's
-/// own atoms are never matched against each other (see DESIGN.md).
+/// own atoms are never matched against each other (see
+/// docs/BENCHMARKS.md, "Paper substitutions and deviations").
 struct SafetyOptions {
   bool count_self_matches = false;
 };

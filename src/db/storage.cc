@@ -167,78 +167,6 @@ Status Storage::ApplyReplacements(const std::vector<TableReplacement>& reps) {
   return Status::OK();
 }
 
-Status Storage::ApplyWrite(std::string_view table, Row row) {
-  std::lock_guard<std::mutex> lock(mu_);
-  // Table::Insert is copy-on-write: the published snapshot still holds the
-  // previous TableVersion, so the handle clones it before appending.
-  Status st = db_.Insert(table, std::move(row));
-  if (!st.ok()) return st;
-  ++writes_applied_;
-  NoteTableChangedLocked(table);
-  PublishLocked();
-  return Status::OK();
-}
-
-Status Storage::ApplyDelete(std::string_view table, const Predicate& pred,
-                            size_t* removed) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (removed != nullptr) *removed = 0;
-  Table* t = db_.GetTable(table);
-  if (t == nullptr) {
-    return Status::NotFound("table '" + std::string(table) + "' not found");
-  }
-  size_t n = 0;
-  EQ_RETURN_NOT_OK(t->DeleteWhere(pred, &n));
-  if (removed != nullptr) *removed = n;
-  // Matching nothing left every TableVersion untouched — publishing would
-  // only churn snapshot versions (and spuriously wake write-notified
-  // readers), so don't.
-  if (n == 0) return Status::OK();
-  ++writes_applied_;
-  NoteTableChangedLocked(table);
-  PublishLocked();
-  return Status::OK();
-}
-
-Status Storage::ApplyUpdate(std::string_view table, const Predicate& pred,
-                            const std::vector<ColumnSet>& sets,
-                            size_t* updated) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (updated != nullptr) *updated = 0;
-  Table* t = db_.GetTable(table);
-  if (t == nullptr) {
-    return Status::NotFound("table '" + std::string(table) + "' not found");
-  }
-  size_t n = 0;
-  EQ_RETURN_NOT_OK(t->UpdateWhere(pred, sets, &n));
-  if (updated != nullptr) *updated = n;
-  if (n == 0) return Status::OK();
-  ++writes_applied_;
-  NoteTableChangedLocked(table);
-  PublishLocked();
-  return Status::OK();
-}
-
-Status Storage::ApplyUpdate(std::string_view table, size_t match_col,
-                            const ir::Value& match_value, Row replacement,
-                            size_t* updated) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (updated != nullptr) *updated = 0;
-  Table* t = db_.GetTable(table);
-  if (t == nullptr) {
-    return Status::NotFound("table '" + std::string(table) + "' not found");
-  }
-  size_t n = 0;
-  EQ_RETURN_NOT_OK(
-      t->UpdateWhere(match_col, match_value, std::move(replacement), &n));
-  if (updated != nullptr) *updated = n;
-  if (n == 0) return Status::OK();
-  ++writes_applied_;
-  NoteTableChangedLocked(table);
-  PublishLocked();
-  return Status::OK();
-}
-
 Status Storage::ApplyBatch(const std::vector<TableWrite>& writes,
                            size_t* out_rows_changed) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -261,9 +189,8 @@ Status Storage::ApplyBatch(const std::vector<TableWrite>& writes,
       Status st = w.pred.Validate(t->schema(), t->version()->order());
       if (!st.ok()) return prefix(st);
     }
-    if (w.kind == TableWrite::Kind::kInsert ||
-        (w.kind == TableWrite::Kind::kUpdate && w.sets.empty())) {
-      Status st = t->CheckRow(w.row);  // inserted row / full-row replacement
+    if (w.kind == TableWrite::Kind::kInsert) {
+      Status st = t->CheckRow(w.row);
       if (!st.ok()) return prefix(st);
     } else if (w.kind == TableWrite::Kind::kUpdate) {
       Status st = ValidateColumnSets(t->schema(), w.sets);
@@ -284,9 +211,7 @@ Status Storage::ApplyBatch(const std::vector<TableWrite>& writes,
         st = t->DeleteWhere(w.pred, &affected);
         break;
       case TableWrite::Kind::kUpdate:
-        st = t->UpdateWhere(
-            w.pred, w.sets.empty() ? ReplacementSets(w.row) : w.sets,
-            &affected);
+        st = t->UpdateWhere(w.pred, w.sets, &affected);
         break;
     }
     if (!st.ok()) return st;  // unreachable after validation
@@ -299,8 +224,8 @@ Status Storage::ApplyBatch(const std::vector<TableWrite>& writes,
   // One publish for the whole batch: the first mutation per table copies
   // that table, the rest mutate in place in the still-private clone. A
   // batch whose every delete/update matched nothing left every
-  // TableVersion untouched — skip the publish, like the single-op paths
-  // (version churn would spuriously wake write-notified readers).
+  // TableVersion untouched — skip the publish (version churn would
+  // spuriously wake write-notified readers).
   if (out_rows_changed != nullptr) *out_rows_changed = rows_changed;
   if (rows_changed > 0) PublishLocked();
   return Status::OK();

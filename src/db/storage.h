@@ -25,14 +25,14 @@ namespace eq::db {
 ///      once for the whole process).
 ///   2. Publish() — freezes the state as version 1; every reader (shard)
 ///      grabs Current() and shares the same TableVersion objects.
-///   3. ApplyWrite / ApplyBatch — copy only the touched tables (CoW via
-///      the Table handles), then publish the next version. Readers holding
+///   3. ApplyBatch — copy only the touched tables (CoW via the Table
+///      handles), then publish the next version. Readers holding
 ///      older snapshots are undisturbed; a version dies when the last
 ///      snapshot referencing it is dropped.
 ///
 /// Thread model: mutable_db() is build-phase only (single-threaded, before
-/// the first Publish). ApplyWrite/ApplyBatch/Current/version are safe from
-/// any thread (serialized on an internal mutex). Snapshots handed out are
+/// the first Publish). ApplyBatch/Current/version are safe from any
+/// thread (serialized on an internal mutex). Snapshots handed out are
 /// immutable and safe to read without synchronization.
 class Storage {
  public:
@@ -65,20 +65,17 @@ class Storage {
     return version_.load(std::memory_order_acquire);
   }
 
-  /// One write operation destined for one table. The two-field brace form
-  /// `{"T", row}` stays an insert. Deletes and updates match rows with a
-  /// db::Predicate — a conjunction of per-column comparisons; the classic
-  /// single-column-equality factories build the one-conjunct predicate.
-  /// Updates either apply SET clauses (`sets` non-empty — the SQL
-  /// `UPDATE ... SET` form) or replace the whole row (`sets` empty, `row`
-  /// is the replacement). CoW keeps every published snapshot on the
-  /// version it captured.
+  /// One write operation destined for one table: Insert(row),
+  /// Delete(pred) or Update(pred, sets). Deletes and updates match rows
+  /// with a db::Predicate — a conjunction of per-column comparisons
+  /// (Predicate::Eq builds the one-conjunct equality). Updates apply SQL
+  /// `UPDATE ... SET` clauses; `sets` must be non-empty. CoW keeps every
+  /// published snapshot on the version it captured.
   struct TableWrite {
     enum class Kind : uint8_t { kInsert, kDelete, kUpdate };
 
     std::string table;
-    Row row;  ///< kInsert: the row to append; kUpdate with empty `sets`:
-              ///< the full-row replacement
+    Row row;  ///< kInsert: the row to append
     Kind kind = Kind::kInsert;
     Predicate pred;               ///< kDelete / kUpdate: which rows match
     std::vector<ColumnSet> sets;  ///< kUpdate: per-column assignments
@@ -89,65 +86,24 @@ class Storage {
     static TableWrite Delete(std::string table, Predicate pred) {
       return {std::move(table), {}, Kind::kDelete, std::move(pred), {}};
     }
-    static TableWrite Delete(std::string table, size_t match_col,
-                             ir::Value match_value) {
-      return Delete(std::move(table),
-                    Predicate::Eq(match_col, std::move(match_value)));
-    }
     static TableWrite Update(std::string table, Predicate pred,
                              std::vector<ColumnSet> sets) {
       return {std::move(table), {}, Kind::kUpdate, std::move(pred),
               std::move(sets)};
     }
-    static TableWrite Update(std::string table, size_t match_col,
-                             ir::Value match_value, Row replacement) {
-      return {std::move(table), std::move(replacement), Kind::kUpdate,
-              Predicate::Eq(match_col, std::move(match_value)), {}};
-    }
   };
 
-  /// Inserts one row and publishes a new version. The untouched tables are
-  /// shared with the previous version; only `table`'s TableVersion is
-  /// copied (and only if the previous version is still referenced by a
-  /// published snapshot).
-  Status ApplyWrite(std::string_view table, Row row);
-
-  /// Removes every row of `table` matching `pred` (validated against the
-  /// schema up front), then publishes a new version. A delete that matches
-  /// nothing is a no-op: no clone, no publish. `removed` (optional)
-  /// receives the count.
-  Status ApplyDelete(std::string_view table, const Predicate& pred,
-                     size_t* removed = nullptr);
-
-  /// Single-column-equality convenience: ApplyDelete(table, col = value).
-  Status ApplyDelete(std::string_view table, size_t match_col,
-                     const ir::Value& match_value, size_t* removed = nullptr) {
-    return ApplyDelete(table, Predicate::Eq(match_col, match_value), removed);
-  }
-
-  /// Applies `sets` to every row of `table` matching `pred` (both
-  /// validated up front — the SQL UPDATE ... SET semantics), then
-  /// publishes a new version. Matching nothing is a no-op.
-  Status ApplyUpdate(std::string_view table, const Predicate& pred,
-                     const std::vector<ColumnSet>& sets,
-                     size_t* updated = nullptr);
-
-  /// Replaces every row of `table` whose `match_col` equals `match_value`
-  /// with `replacement` (full-row replacement, schema-checked up front),
-  /// then publishes a new version. Matching nothing is a no-op.
-  Status ApplyUpdate(std::string_view table, size_t match_col,
-                     const ir::Value& match_value, Row replacement,
-                     size_t* updated = nullptr);
-
-  /// Applies all writes (inserts, deletes, updates, in order) atomically,
-  /// then publishes once — or not at all, if every delete/update matched
-  /// zero rows and nothing was inserted (no version churn for a no-op
-  /// batch). The whole batch is validated first (table existence,
-  /// match-column range, arity, per-column types): on a bad write NOTHING
-  /// is applied or published, and the returned error names the offending
-  /// write's index so the client can fix and safely retry the batch.
-  /// `rows_changed` (optional) receives the total rows inserted, removed
-  /// or replaced.
+  /// The one write call: applies all writes (inserts, deletes, updates, in
+  /// order) atomically, then publishes once — or not at all, if every
+  /// delete/update matched zero rows and nothing was inserted (no version
+  /// churn for a no-op batch). Only the touched tables are copied (and
+  /// only if a published snapshot still shares them); untouched tables
+  /// are shared with the previous version. The whole batch is validated
+  /// first (table existence, predicate, arity, per-column types, non-empty
+  /// SET clauses): on a bad write NOTHING is applied or published, and the
+  /// returned error names the offending write's index so the client can
+  /// fix and safely retry the batch. `rows_changed` (optional) receives
+  /// the total rows inserted, removed or updated.
   Status ApplyBatch(const std::vector<TableWrite>& writes,
                     size_t* rows_changed = nullptr);
 
@@ -223,8 +179,8 @@ class Storage {
   void UnregisterReader(uint64_t reader_id);
 
   /// Recomputes the watermark and releases history below it. Publishes and
-  /// reports already GC inline; this is the periodic safety net
-  /// (service gc_interval_ms) and the test hook.
+  /// reports already GC inline; this is the explicit safety net for
+  /// callers that want one, and the test hook.
   void GcTick();
 
   /// The last computed watermark (min read-version across readers at the

@@ -211,20 +211,6 @@ size_t TableVersion::UpdateWhere(const Predicate& pred,
   return hits.size();
 }
 
-std::vector<ColumnSet> ReplacementSets(const Row& replacement) {
-  std::vector<ColumnSet> sets;
-  sets.reserve(replacement.size());
-  for (size_t c = 0; c < replacement.size(); ++c) {
-    sets.push_back({c, replacement[c]});
-  }
-  return sets;
-}
-
-size_t TableVersion::UpdateWhere(size_t col, const ir::Value& v,
-                                 const Row& replacement) {
-  return UpdateWhere(Predicate::Eq(col, v), ReplacementSets(replacement));
-}
-
 bool TableVersion::AnyMatch(const Predicate& pred) const {
   auto [b, e] = CandidateSpan(pred);
   if (b != nullptr) {

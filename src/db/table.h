@@ -111,11 +111,6 @@ struct ColumnSet {
 Status ValidateColumnSets(const Schema& schema,
                           const std::vector<ColumnSet>& sets);
 
-/// Lowers a full-row replacement to its SET-clause form (one assignment
-/// per column) — the single definition shared by the legacy UpdateWhere
-/// overload and batch application.
-std::vector<ColumnSet> ReplacementSets(const Row& replacement);
-
 /// One immutable version of an in-memory row-store table: rows plus
 /// optional per-column hash and ordered indexes, with tombstoned deletes.
 ///
@@ -179,21 +174,12 @@ class TableVersion {
   /// Only valid while this version is exclusively owned.
   size_t DeleteWhere(const Predicate& pred);
 
-  /// Single-column-equality convenience: DeleteWhere(col = v).
-  size_t DeleteWhere(size_t col, const ir::Value& v) {
-    return DeleteWhere(Predicate::Eq(col, v));
-  }
-
   /// Applies `sets` to every row matching `pred` (the SQL UPDATE ... SET
   /// semantics; `sets` must already be schema-checked) MVCC-style: the old
   /// row is tombstoned and the updated copy appended, with both ends
   /// patched into the built indexes — no full rebuild. Returns the number
   /// of rows updated. Only valid while this version is exclusively owned.
   size_t UpdateWhere(const Predicate& pred, const std::vector<ColumnSet>& sets);
-
-  /// Full-row-replacement convenience: every row with `col` = `v` becomes
-  /// `replacement` (already schema-checked). Returns rows replaced.
-  size_t UpdateWhere(size_t col, const ir::Value& v, const Row& replacement);
 
   /// True iff some live row matches `pred` (probing the index of an
   /// indexed `=` conjunct when available, linear scan otherwise).
@@ -349,12 +335,6 @@ class Table {
     return Status::OK();
   }
 
-  /// Single-column-equality convenience: DeleteWhere(col = v).
-  Status DeleteWhere(size_t col, const ir::Value& v,
-                     size_t* removed = nullptr) {
-    return DeleteWhere(Predicate::Eq(col, v), removed);
-  }
-
   /// Applies `sets` to every row matching `pred` (copy-on-write when
   /// shared) — SQL UPDATE ... SET semantics. Predicate and SET clauses
   /// are validated up front; a match-less update never clones.
@@ -367,24 +347,6 @@ class Table {
     if (!st.ok()) return st;
     if (!v_->AnyMatch(pred)) return Status::OK();
     size_t n = Mutable()->UpdateWhere(pred, sets);
-    MaybeCompact();
-    if (updated != nullptr) *updated = n;
-    return Status::OK();
-  }
-
-  /// Replaces every row whose `col` equals `v` with `replacement`
-  /// (copy-on-write when shared). Full-row replacement: `replacement` is
-  /// schema-checked up front, and a match-less update never clones.
-  Status UpdateWhere(size_t col, const ir::Value& v, Row replacement,
-                     size_t* updated = nullptr) {
-    if (updated != nullptr) *updated = 0;
-    if (col >= v_->schema().arity()) {
-      return Status::InvalidArgument("no column " + std::to_string(col));
-    }
-    Status st = v_->CheckRow(replacement);
-    if (!st.ok()) return st;
-    if (!v_->AnyMatch(col, v)) return Status::OK();
-    size_t n = Mutable()->UpdateWhere(col, v, replacement);
     MaybeCompact();
     if (updated != nullptr) *updated = n;
     return Status::OK();

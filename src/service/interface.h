@@ -13,7 +13,7 @@
 
 namespace eq::service {
 
-/// Per-submission knobs for Submit / SubmitBatch.
+/// Per-submission knobs for Submit.
 struct SubmitOptions {
   /// Logical-tick TTL; 0 = never stale.
   uint64_t ttl_ticks = 0;
@@ -94,10 +94,6 @@ class CoordinationInterface {
   /// Submits one typed query in any dialect; see the implementations for
   /// their synchronous-failure sets.
   virtual Result<Ticket> Submit(client::Query query, SubmitOptions opts = {}) = 0;
-
-  /// Submits a whole batch; one Result per query, in order.
-  virtual std::vector<Result<Ticket>> SubmitBatch(
-      std::vector<client::Query> queries, SubmitOptions opts = {}) = 0;
 
   /// Withdraws a pending query; its ticket resolves as Cancelled.
   virtual Status Cancel(const Ticket& ticket) = 0;

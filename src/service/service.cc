@@ -26,13 +26,11 @@ CoordinationService::CoordinationService(ServiceOptions opts)
       interner_(std::make_shared<StringInterner>()),
       storage_ctx_(std::make_unique<ir::QueryContext>(interner_)),
       storage_(std::make_unique<db::Storage>(interner_)),
+      wakeup_index_(router_.num_shards()),
       started_(std::chrono::steady_clock::now()) {
   // Build the shared storage exactly once — the single bootstrap run for
   // the whole process, regardless of shard count. Version 1 is the
-  // snapshot every shard and the edge catalog share by pointer. The
-  // storage knobs go in first so bootstrap-created tables pick them up.
-  storage_->mutable_db()->set_compaction_threshold(opts_.compaction_threshold);
-  storage_->mutable_db()->set_ordered_indexes(opts_.ordered_indexes);
+  // snapshot every shard and the edge catalog share by pointer.
   if (opts_.bootstrap) {
     opts_.bootstrap(storage_ctx_.get(), storage_->mutable_db());
   }
@@ -58,10 +56,6 @@ CoordinationService::CoordinationService(ServiceOptions opts)
       popts, interner_, storage_ctx_.get(), storage_.get(),
       [this](const db::Snapshot& snap) { MaybeInvalidateOnSchemaChange(snap); });
 
-  if (opts_.write_wakeups) {
-    wakeup_index_ = std::make_unique<WriteWakeupIndex>(router_.num_shards());
-  }
-
   // The slow-query log needs every resolution's trace available, so an
   // enabled threshold implies trace_all (sampling would miss most slow
   // queries, which is exactly backwards).
@@ -80,16 +74,13 @@ CoordinationService::CoordinationService(ServiceOptions opts)
     sopts.base_ctx = storage_ctx_.get();
     sopts.on_start = opts_.on_shard_start;
     sopts.on_write_wakeup = opts_.on_write_wakeup;
-    sopts.wakeup_index = wakeup_index_.get();
+    sopts.wakeup_index = &wakeup_index_;
     sopts.max_batch = opts_.max_batch;
     sopts.max_delay_ticks = opts_.max_delay_ticks;
     sopts.mode = opts_.mode;
-    sopts.enforce_safety = opts_.enforce_safety;
-    sopts.worker_threads = opts_.shard_worker_threads;
     sopts.preference = opts_.preference;
     sopts.preference_candidates = opts_.preference_candidates;
     sopts.traces = traces_.get();
-    sopts.trace_ring_capacity = opts_.trace_ring_capacity;
     sopts.slow_query_threshold_ms = opts_.slow_query_threshold_ms;
     sopts.slow_query_sink = opts_.slow_query_sink;
     shards_.push_back(std::make_unique<ShardRunner>(
@@ -98,9 +89,6 @@ CoordinationService::CoordinationService(ServiceOptions opts)
   }
   if (opts_.tick_interval.count() > 0) {
     ticker_ = std::thread([this] { TickerLoop(); });
-  }
-  if (opts_.gc_interval_ms > 0) {
-    gc_thread_ = std::thread([this] { GcLoop(); });
   }
 }
 
@@ -111,7 +99,6 @@ CoordinationService::~CoordinationService() {
   }
   ticker_cv_.notify_all();
   if (ticker_.joinable()) ticker_.join();
-  if (gc_thread_.joinable()) gc_thread_.join();
   // Stop shards before tearing down inflight_ — queued ops still drain and
   // deliver events into OnShardEvent.
   for (auto& shard : shards_) shard->Stop();
@@ -228,7 +215,6 @@ Result<CoordinationService::Prepared> CoordinationService::PrepareQuery(
     const client::Query& query) {
   Prepared p;
   p.accepted_at = std::chrono::steady_clock::now();
-  p.dialect = query.dialect();
   auto plan = PreparePlan(query);
   prepare_latency_.Record(std::chrono::duration<double, std::micro>(
                               std::chrono::steady_clock::now() - p.accepted_at)
@@ -259,47 +245,6 @@ void CoordinationService::MaybeInvalidateOnSchemaChange(
   plan_cache_->InvalidateAll();
 }
 
-Status CoordinationService::ApplyWrite(std::string_view table, db::Row row) {
-  EQ_RETURN_NOT_OK(storage_->ApplyWrite(table, std::move(row)));
-  NotifyWriteTouched({std::string(table)});
-  return Status::OK();
-}
-
-Status CoordinationService::ApplyDelete(std::string_view table,
-                                        const db::Predicate& pred,
-                                        size_t* removed) {
-  size_t n = 0;
-  EQ_RETURN_NOT_OK(storage_->ApplyDelete(table, pred, &n));
-  if (removed != nullptr) *removed = n;
-  // Matching nothing published no version, so there is nothing to adopt.
-  if (n > 0) NotifyWriteTouched({std::string(table)});
-  return Status::OK();
-}
-
-Status CoordinationService::ApplyUpdate(std::string_view table,
-                                        const db::Predicate& pred,
-                                        const std::vector<db::ColumnSet>& sets,
-                                        size_t* updated) {
-  size_t n = 0;
-  EQ_RETURN_NOT_OK(storage_->ApplyUpdate(table, pred, sets, &n));
-  if (updated != nullptr) *updated = n;
-  if (n > 0) NotifyWriteTouched({std::string(table)});
-  return Status::OK();
-}
-
-Status CoordinationService::ApplyUpdate(std::string_view table,
-                                        size_t match_col,
-                                        const ir::Value& match_value,
-                                        db::Row replacement,
-                                        size_t* updated) {
-  size_t n = 0;
-  EQ_RETURN_NOT_OK(storage_->ApplyUpdate(table, match_col, match_value,
-                                         std::move(replacement), &n));
-  if (updated != nullptr) *updated = n;
-  if (n > 0) NotifyWriteTouched({std::string(table)});
-  return Status::OK();
-}
-
 Result<size_t> CoordinationService::ExecuteWrite(std::string_view sql) {
   // Translate against the edge catalog, exactly like SQL query
   // submission: schema and type errors are synchronous, and the produced
@@ -312,26 +257,26 @@ Result<size_t> CoordinationService::ExecuteWrite(std::string_view sql) {
     if (!translated.ok()) return translated.status();
     stmt = std::move(*translated);
   }
-  // Route through the storage write path: same all-or-nothing validation,
-  // no-match-no-publish, and wake-up semantics as the typed Apply* calls.
-  size_t rows = 0;
-  std::string table = stmt.table();
+  // The typed write path: same all-or-nothing validation,
+  // no-match-no-publish, and wake-up semantics as a client ApplyBatch.
   // push_back, not a braced list: initializer_list elements are const, so
   // the move would silently deep-copy the whole TableWrite.
   std::vector<db::Storage::TableWrite> batch;
   batch.push_back(std::move(stmt.write));
-  EQ_RETURN_NOT_OK(storage_->ApplyBatch(batch, &rows));
-  if (rows > 0) NotifyWriteTouched({table});
+  size_t rows = 0;
+  EQ_RETURN_NOT_OK(ApplyBatch(batch, &rows));
   return rows;
 }
 
 Status CoordinationService::ApplyBatch(
-    const std::vector<db::Storage::TableWrite>& writes) {
+    const std::vector<db::Storage::TableWrite>& writes,
+    size_t* out_rows_changed) {
   uint64_t pre_batch_version = storage_->version();
   size_t rows_changed = 0;
   EQ_RETURN_NOT_OK(storage_->ApplyBatch(writes, &rows_changed));
-  // Nothing published, or nobody listening: skip the table-list work.
-  if (rows_changed == 0 || wakeup_index_ == nullptr) return Status::OK();
+  if (out_rows_changed != nullptr) *out_rows_changed = rows_changed;
+  // Nothing published: nothing to adopt, so skip the table-list work.
+  if (rows_changed == 0) return Status::OK();
   std::vector<SymbolId> rels;
   rels.reserve(writes.size());
   for (const db::Storage::TableWrite& w : writes) {
@@ -357,30 +302,19 @@ Status CoordinationService::ApplyReplicatedTables(
   // Replication can introduce tables this node has never seen (leader-side
   // catalog growth) — a schema-affecting change for cached SQL plans.
   MaybeInvalidateOnSchemaChange(storage_->Current());
-  std::vector<std::string> tables;
-  tables.reserve(reps.size());
-  for (const db::Storage::TableReplacement& r : reps) {
-    tables.push_back(r.table);
-  }
-  NotifyWriteTouched(tables);
-  return Status::OK();
-}
-
-void CoordinationService::NotifyWriteTouched(
-    const std::vector<std::string>& tables) {
-  if (wakeup_index_ == nullptr || tables.empty()) return;
   // Lookup, not Intern: a table that was written certainly has a symbol.
   std::vector<SymbolId> rels;
-  rels.reserve(tables.size());
-  for (const std::string& t : tables) {
-    SymbolId rel = storage_->interner().Lookup(t);
+  rels.reserve(reps.size());
+  for (const db::Storage::TableReplacement& r : reps) {
+    SymbolId rel = storage_->interner().Lookup(r.table);
     if (rel != kInvalidSymbol) rels.push_back(rel);
   }
   NotifyRelationsTouched(std::move(rels));
+  return Status::OK();
 }
 
 void CoordinationService::NotifyRelationsTouched(std::vector<SymbolId> rels) {
-  if (wakeup_index_ == nullptr || rels.empty()) return;
+  if (rels.empty()) return;
   // Exactly the shards whose pending bodies intersect the touched
   // relations get a (cheap) control op; everyone else is undisturbed.
   // A query that becomes pending concurrently with this lookup may miss
@@ -390,7 +324,7 @@ void CoordinationService::NotifyRelationsTouched(std::vector<SymbolId> rels) {
   // WriteNotify is queued, further touched-relation sets merge into it,
   // so a write burst re-evaluates once per queue drain, not once per
   // write.
-  for (uint32_t s : wakeup_index_->ShardsReading(rels)) {
+  for (uint32_t s : wakeup_index_.ShardsReading(rels)) {
     shards_[s]->NotifyWrite(rels);
   }
 }
@@ -450,7 +384,6 @@ Result<Ticket> CoordinationService::SubmitPreparedLocked(
   ShardRunner::Op op;
   op.kind = ShardRunner::Op::Kind::kSubmit;
   op.ticket = ticket.id();
-  op.dialect = p.dialect;
   op.preference = opts.preference;
   op.ttl_ticks = opts.ttl_ticks;
   op.traced = traced;
@@ -460,7 +393,6 @@ Result<Ticket> CoordinationService::SubmitPreparedLocked(
   entry.traced = traced;
   entry.deadline_tick =
       opts.ttl_ticks == 0 ? 0 : now_ticks() + opts.ttl_ticks;
-  entry.dialect = p.dialect;
   // Payload: every dialect ships its canonical program — the shard
   // instantiates it directly (no re-parse, no re-translate), and
   // migration re-submission and cross-node extraction reuse the same
@@ -504,43 +436,6 @@ Result<Ticket> CoordinationService::Submit(client::Query query,
   }
   EnqueuePlannedMigrations(std::move(planned));
   return out;
-}
-
-std::vector<Result<Ticket>> CoordinationService::SubmitBatch(
-    std::vector<client::Query> queries, SubmitOptions opts) {
-  // Phase 1, outside the submit lock: dialect normalization (plan-cache
-  // lookups, translation/validation on pooled edge contexts) for the
-  // whole batch.
-  std::vector<Result<Prepared>> prepared;
-  prepared.reserve(queries.size());
-  for (const client::Query& q : queries) prepared.push_back(PrepareQuery(q));
-
-  // Phase 2: route→record→enqueue everything under one submit_mu_
-  // acquisition, with a single stranded-group sweep per merge.
-  std::vector<Result<Ticket>> out;
-  out.reserve(prepared.size());
-  std::vector<PlannedMigration> planned;
-  {
-    std::lock_guard<std::mutex> lock(submit_mu_);
-    for (Result<Prepared>& p : prepared) {
-      if (!p.ok()) {
-        out.push_back(p.status());
-        continue;
-      }
-      out.push_back(SubmitPreparedLocked(std::move(*p), opts, &planned));
-    }
-  }
-  EnqueuePlannedMigrations(std::move(planned));
-  return out;
-}
-
-Result<Ticket> CoordinationService::SubmitAsync(std::string query_text,
-                                                uint64_t ttl_ticks,
-                                                TicketCallback callback) {
-  SubmitOptions opts;
-  opts.ttl_ticks = ttl_ticks;
-  opts.callback = std::move(callback);
-  return Submit(client::Query::Ir(std::move(query_text)), std::move(opts));
 }
 
 Status CoordinationService::Cancel(const Ticket& ticket) {
@@ -823,7 +718,6 @@ void CoordinationService::OnShardEvent(ShardRunner::Event ev) {
         // group's new owner node re-submits it and completes this same
         // ticket from the remote outcome).
         extract_cb = entry.extract_cb;
-        extracted.dialect = entry.dialect;
         extracted.program = entry.program;
         extracted.preference = entry.preference;
         extracted.relations = entry.relations;
@@ -848,7 +742,6 @@ void CoordinationService::OnShardEvent(ShardRunner::Event ev) {
         op.ticket = ev.ticket;
         // Re-submit the canonical program regardless of the input dialect
         // (the winning shard never re-parses or re-translates).
-        op.dialect = entry.dialect;
         op.program = entry.program;
         op.preference = entry.preference;
         op.ttl_ticks = remaining;
@@ -1007,17 +900,6 @@ void CoordinationService::TickerLoop() {
       break;
     }
     AdvanceTicks(1);
-  }
-}
-
-void CoordinationService::GcLoop() {
-  std::unique_lock<std::mutex> lock(ticker_mu_);
-  while (!stopping_) {
-    if (ticker_cv_.wait_for(lock, std::chrono::milliseconds(opts_.gc_interval_ms),
-                            [this] { return stopping_; })) {
-      break;
-    }
-    storage_->GcTick();
   }
 }
 

@@ -43,9 +43,6 @@ struct ServiceOptions {
   std::chrono::milliseconds tick_interval{0};
 
   engine::EvalMode mode = engine::EvalMode::kSetAtATime;
-  bool enforce_safety = true;
-  /// Intra-shard partition-evaluation threads (0 = sequential flush).
-  size_t shard_worker_threads = 0;
 
   /// Service-wide grounding preference (§6 ranking extension), threaded
   /// into every shard engine's EngineOptions. QueryIds passed to the
@@ -69,25 +66,6 @@ struct ServiceOptions {
   /// *edge catalog* (the schema view entangled SQL is translated against
   /// before routing).
   SnapshotBootstrap bootstrap;
-
-  /// Tombstoned-row fraction that triggers physical compaction in storage
-  /// tables: deletes/updates mark rows dead and patch the touched posting
-  /// lists, deferring the compaction + index rebuild until this fraction
-  /// of a table is dead. <= 0 compacts eagerly on every delete/update (the
-  /// pre-tombstone behavior).
-  double compaction_threshold = 0.3;
-
-  /// Periodic version-GC safety net: every this-many milliseconds the
-  /// service recomputes the storage GC watermark and releases superseded
-  /// snapshot versions no registered reader can still need. 0 disables the
-  /// thread — GC still runs inline at every publish and read-version
-  /// report, which is sufficient for steadily-active workloads.
-  int gc_interval_ms = 0;
-
-  /// Whether bootstrap-built indexes also build an ordered index on the
-  /// same column, unlocking range-predicate (<, <=, >, >=) fast paths —
-  /// including on STRING columns via the interner's sorted dictionary.
-  bool ordered_indexes = true;
 
   /// Each edge-catalog context accumulates fresh variables per translated
   /// query, so it is recycled after this many uses (counted per pooled
@@ -116,17 +94,6 @@ struct ServiceOptions {
   /// schema-affecting change. 0 disables caching.
   size_t plan_cache_capacity = 1024;
 
-  /// Write-triggered re-evaluation: when true (default), a successful
-  /// ApplyWrite/ApplyBatch/ApplyDelete/ApplyUpdate posts a WriteNotify
-  /// control op to exactly the shards holding pending queries whose bodies
-  /// read a touched relation; each adopts the fresh snapshot and
-  /// re-evaluates only those partitions, so a write that completes a
-  /// pending coordination answers it immediately — no flush, tick, or new
-  /// submission needed. False restores the flush-bound visibility of the
-  /// pre-reactive pipeline (writes become visible at the next evaluation
-  /// boundary only); the knob exists for A/B benchmarking.
-  bool write_wakeups = true;
-
   /// Test/diagnostic hook: runs on each shard thread after its engine is
   /// ready, before the first op is processed.
   std::function<void(uint32_t shard_id)> on_shard_start;
@@ -154,9 +121,6 @@ struct ServiceOptions {
   /// Hard bound on events kept per trace (overflow is counted, not
   /// stored).
   size_t trace_max_events = 128;
-  /// Capacity of each shard's ring of recent trace events (`\state`-style
-  /// diagnostics; independent of the per-ticket registry).
-  size_t trace_ring_capacity = 256;
 
   /// Slow-query log: a query resolving slower than this many milliseconds
   /// renders its full lifecycle trace into `slow_query_sink`. 0 disables
@@ -175,7 +139,6 @@ struct ServiceOptions {
 /// the caller (the cluster layer re-submits it on the group's new owner
 /// node and completes the SAME ticket when the remote outcome arrives).
 struct ExtractedQuery {
-  client::Dialect dialect = client::Dialect::kIr;
   /// Canonical payload: every dialect normalizes to the portable program
   /// at submission (same form migration re-submission ships).
   std::shared_ptr<const client::PortableQuery> program;
@@ -198,9 +161,8 @@ using ExtractCallback = std::function<void(ExtractedQuery)>;
 /// Life cycle of a query: Submit normalizes the typed client::Query
 /// (translating SQL against the edge catalog, validating builder
 /// programs), routes it by its translated entangled-relation signature and
-/// returns a Ticket immediately; the shard thread realizes the query
-/// against its private context (parse IR / translate SQL / instantiate a
-/// program), runs the engine, and resolves the ticket (callback + future)
+/// returns a Ticket immediately; the shard thread instantiates the
+/// canonical program against its private context, runs the engine, and resolves the ticket (callback + future)
 /// when coordination succeeds, fails, expires, or is cancelled. If a later
 /// query entangles two previously independent relation groups, the service
 /// transparently migrates the stranded minority group between shards,
@@ -208,9 +170,8 @@ using ExtractCallback = std::function<void(ExtractedQuery)>;
 /// (potential partners share a shard) holds at every quiescent point.
 ///
 /// Thread safety: every public method is safe from any thread, any time —
-/// submissions (Submit/SubmitBatch/SubmitAsync), writes (ApplyWrite/
-/// ApplyDelete/ApplyUpdate/ApplyBatch/ExecuteWrite), control (Cancel/
-/// AdvanceTicks/FlushAll/Drain), and observation (Metrics/storage/
+/// submission (Submit), writes (ApplyBatch/ExecuteWrite/
+/// ApplyReplicatedTables), control (Cancel/AdvanceTicks/FlushAll/Drain), and observation (Metrics/storage/
 /// interner/ShardSnapshot). Internally, route→record→enqueue serializes
 /// on submit_mu_, preparation (parse/translate/validate) runs on a pooled
 /// edge context checked out per op, and storage writes serialize on the
@@ -235,19 +196,6 @@ class CoordinationService : public CoordinationInterface {
   /// programs, and admission-control rejection (kResourceExhausted).
   Result<Ticket> Submit(client::Query query, SubmitOptions opts = {}) override;
 
-  /// Submits a whole batch under one acquisition of the submit lock:
-  /// every query is routed, recorded and enqueued before any shard sees a
-  /// flush boundary between them, and the per-submission locking cost is
-  /// paid once. Returns one Result per query, in order (`opts` applies to
-  /// each).
-  std::vector<Result<Ticket>> SubmitBatch(std::vector<client::Query> queries,
-                                          SubmitOptions opts = {}) override;
-
-  /// Back-compat shim for the original IR-text API: equivalent to
-  /// Submit(client::Query::Ir(query_text), {ttl_ticks, callback, {}}).
-  Result<Ticket> SubmitAsync(std::string query_text, uint64_t ttl_ticks = 0,
-                             TicketCallback callback = nullptr);
-
   /// Withdraws a pending query; its ticket resolves as Cancelled. A no-op
   /// if the query already resolved (the resolution wins the race).
   Status Cancel(const Ticket& ticket) override;
@@ -264,49 +212,6 @@ class CoordinationService : public CoordinationInterface {
   /// need a second round). Returns false if still non-empty after `rounds`.
   bool Drain(int rounds = 8);
 
-  /// Live write ingestion: inserts one row into the shared storage and
-  /// publishes a new snapshot version. Safe from any thread, any time.
-  /// Visibility: shards holding pending queries that read `table` are
-  /// woken immediately (WriteNotify — they adopt the new version and
-  /// re-evaluate just those partitions, unless write_wakeups is off);
-  /// everyone else adopts it at the next evaluation boundary (batch
-  /// flush, or per-submit in incremental mode). An in-flight coordination
-  /// round keeps evaluating the version it started with (§2.3). Build
-  /// string cells with ir::Value::Str(interner().Intern(...)).
-  Status ApplyWrite(std::string_view table, db::Row row);
-
-  /// Removes every row of `table` matching `pred` — a conjunction of
-  /// per-column comparisons (=, !=, <, <=, >, >=), validated against the
-  /// schema before any copy (CoW: snapshots already handed out keep the
-  /// rows). Matching nothing is a no-op — no new version, no wake-up.
-  /// Wakes affected pending partitions like ApplyWrite: a retraction
-  /// cannot newly satisfy a monotone body, but waking keeps the
-  /// re-evaluation snapshot fresh so later answers never resurrect
-  /// deleted rows.
-  Status ApplyDelete(std::string_view table, const db::Predicate& pred,
-                     size_t* removed = nullptr);
-
-  /// Single-column-equality convenience: ApplyDelete(table, col = value).
-  Status ApplyDelete(std::string_view table, size_t match_col,
-                     const ir::Value& match_value, size_t* removed = nullptr) {
-    return ApplyDelete(table, db::Predicate::Eq(match_col, match_value),
-                       removed);
-  }
-
-  /// Applies `sets` to every row of `table` matching `pred` (SQL
-  /// UPDATE ... SET semantics; atomic: one published version). Wakes
-  /// affected pending partitions like ApplyWrite.
-  Status ApplyUpdate(std::string_view table, const db::Predicate& pred,
-                     const std::vector<db::ColumnSet>& sets,
-                     size_t* updated = nullptr);
-
-  /// Replaces every row of `table` whose `match_col` equals `match_value`
-  /// with `replacement` (full-row replacement, atomic: one published
-  /// version). Wakes affected pending partitions like ApplyWrite.
-  Status ApplyUpdate(std::string_view table, size_t match_col,
-                     const ir::Value& match_value, db::Row replacement,
-                     size_t* updated = nullptr);
-
   /// The declarative write surface: executes one SQL INSERT, DELETE or
   /// UPDATE statement —
   ///
@@ -317,14 +222,27 @@ class CoordinationService : public CoordinationInterface {
   /// translated and type-checked against the edge catalog (unknown
   /// tables/columns and literal type mismatches fail synchronously, like
   /// SQL query submission), then routed through the storage write path
-  /// with the same CoW, no-match-no-publish, and wake-up semantics as the
-  /// typed Apply* calls. Returns the number of rows affected; 0 means the
+  /// with the same CoW, no-match-no-publish, and wake-up semantics as
+  /// ApplyBatch. Returns the number of rows affected; 0 means the
   /// predicate matched nothing (and nothing was published or woken).
   Result<size_t> ExecuteWrite(std::string_view sql) override;
 
-  /// Applies a batch of writes (inserts, deletes, updates) atomically and
-  /// publishes once; affected shards are woken once for the whole batch.
-  Status ApplyBatch(const std::vector<db::Storage::TableWrite>& writes);
+  /// Live write ingestion, the one typed write call: applies `writes`
+  /// (TableWrite::Insert / Delete(pred) / Update(pred, sets), in order)
+  /// atomically through db::Storage::ApplyBatch and publishes one version —
+  /// or none, if nothing matched. Shards holding pending queries whose
+  /// bodies read a changed table are woken once for the whole batch
+  /// (WriteNotify: they adopt the new version and re-evaluate just those
+  /// partitions); everyone else adopts it at the next evaluation boundary
+  /// (batch flush, or per-submit in incremental mode). An in-flight
+  /// coordination round keeps evaluating the version it started with
+  /// (§2.3). A delete cannot newly satisfy a monotone body, but waking
+  /// keeps the re-evaluation snapshot fresh so later answers never
+  /// resurrect deleted rows. `rows_changed` (optional) receives the rows
+  /// inserted, removed or updated. Safe from any thread, any time. Build
+  /// string cells with ir::Value::Str(interner().Intern(...)).
+  Status ApplyBatch(const std::vector<db::Storage::TableWrite>& writes,
+                    size_t* rows_changed = nullptr);
 
   /// Follower-side replication entry point: swaps in whole replicated
   /// tables (see db::Storage::ApplyReplacements — cells must already be
@@ -420,7 +338,6 @@ class CoordinationService : public CoordinationInterface {
     /// Cancel() arrived while the query was mid-migration; honoured when the
     /// extraction lands instead of being re-submitted.
     bool cancel_requested = false;
-    client::Dialect dialect = client::Dialect::kIr;
     /// Canonical form for migration re-submission: every dialect
     /// normalizes to the portable program at prepare time.
     std::shared_ptr<const client::PortableQuery> program;
@@ -447,7 +364,6 @@ class CoordinationService : public CoordinationInterface {
   /// A dialect-normalized query, ready to route: the canonical program
   /// plus the translated entangled-relation fingerprint.
   struct Prepared {
-    client::Dialect dialect = client::Dialect::kIr;
     std::shared_ptr<const client::PortableQuery> program;
     std::vector<std::string> relations;
     /// When the service accepted the query (PrepareQuery entry) — the
@@ -475,10 +391,8 @@ class CoordinationService : public CoordinationInterface {
                           std::chrono::steady_clock::time_point at);
 
   /// Posts a WriteNotify op (with the touched relations' symbols) to
-  /// every shard whose wake-up index entry intersects `tables`. No-op
-  /// when write_wakeups is off or no pending query reads the tables.
-  void NotifyWriteTouched(const std::vector<std::string>& tables);
-  /// Same, with the relation symbols already resolved (sorted, unique).
+  /// every shard whose wake-up index entry intersects `rels`. No-op when
+  /// no pending query reads them.
   void NotifyRelationsTouched(std::vector<SymbolId> rels);
 
   void OnShardEvent(ShardRunner::Event ev);
@@ -506,7 +420,6 @@ class CoordinationService : public CoordinationInterface {
   /// Completes each ticket as kFailed with `status` (no locks held).
   void FailTickets(std::vector<Ticket> tickets, const Status& status);
   void TickerLoop();
-  void GcLoop();
 
   ServiceOptions opts_;
   QueryRouter router_;
@@ -520,7 +433,7 @@ class CoordinationService : public CoordinationInterface {
 
   /// Relation→pending-shard index for write-triggered re-evaluation.
   /// Declared before shards_ (shard threads write it until they stop).
-  std::unique_ptr<WriteWakeupIndex> wakeup_index_;
+  WriteWakeupIndex wakeup_index_;
 
   /// Per-query lifecycle traces. Declared before shards_ (shard threads
   /// record into it until they stop).
@@ -577,9 +490,6 @@ class CoordinationService : public CoordinationInterface {
   std::condition_variable ticker_cv_;
   bool stopping_ = false;
   std::thread ticker_;
-  /// Version-GC safety net (gc_interval_ms > 0); shares the ticker's
-  /// stop signal.
-  std::thread gc_thread_;
 };
 
 }  // namespace eq::service

@@ -5,15 +5,12 @@
 #include <utility>
 #include <vector>
 
-#include "ir/parser.h"
-#include "sql/translator.h"
-
 namespace eq::service {
 
 ShardRunner::ShardRunner(ShardOptions opts, EventFn event_fn)
     : opts_(std::move(opts)),
       event_fn_(std::move(event_fn)),
-      trace_ring_(opts_.trace_ring_capacity),
+      trace_ring_(kTraceRingCapacity),
       thread_([this] { Run(); }) {}
 
 ShardRunner::~ShardRunner() { Stop(); }
@@ -73,8 +70,6 @@ void ShardRunner::Run() {
 
   engine::EngineOptions eopts;
   eopts.mode = opts_.mode;
-  eopts.enforce_safety = opts_.enforce_safety;
-  eopts.worker_threads = opts_.worker_threads;
   eopts.preference_candidates = opts_.preference_candidates;
   engine_ = std::make_unique<engine::CoordinationEngine>(
       ctx_.get(), std::move(initial), eopts);
@@ -312,7 +307,7 @@ void ShardRunner::HandleSubmit(Op& op) {
     if (op.traced) RecordTrace(op.ticket, TraceEventKind::kMigratedIn);
   }
 
-  auto parsed = RealizeQuery(op);
+  auto parsed = op.program->Instantiate(ctx_.get());
   if (!parsed.ok()) {
     if (parsed.status().code() == StatusCode::kParseError) {
       stats_.parse_errors.fetch_add(1, std::memory_order_relaxed);
@@ -375,40 +370,28 @@ void ShardRunner::HandleSubmit(Op& op) {
     // Register under the body relations so a write touching them posts a
     // WriteNotify here; the entry is unregistered when the query leaves
     // the pending state (OnEngineResolve), keeping the index exact.
-    if (opts_.wakeup_index != nullptr) {
-      opts_.wakeup_index->AddPending(opts_.shard_id,
-                                     engine_->body_relations(*id));
-      // Close the registration race: a write published after this shard
-      // last adopted a snapshot but before the AddPending above found no
-      // index entry and posted no notify — without this check a pair
-      // pending on that row would hang (no ticker, no further submits).
-      // Registration and the writer's index lookup serialize on the index
-      // mutex, and publish precedes the lookup, so any missed write is
-      // visible here: first as a newer storage version (lock-free read —
-      // the common nothing-published case costs no lock), then in the
-      // storage's per-relation change log. The relation filter keeps
-      // unrelated write streams from turning set-at-a-time submits into
-      // per-submit re-evaluation (and keeps write_wakeups meaning what
-      // metrics.h says it means).
-      if (opts_.storage->version() != engine_->snapshot().version() &&
-          opts_.storage->ChangedSince(engine_->body_relations(*id),
-                                      engine_->snapshot().version())) {
-        DoWriteWakeup(engine_->body_relations(*id));
-      }
+    opts_.wakeup_index->AddPending(opts_.shard_id,
+                                   engine_->body_relations(*id));
+    // Close the registration race: a write published after this shard
+    // last adopted a snapshot but before the AddPending above found no
+    // index entry and posted no notify — without this check a pair
+    // pending on that row would hang (no ticker, no further submits).
+    // Registration and the writer's index lookup serialize on the index
+    // mutex, and publish precedes the lookup, so any missed write is
+    // visible here: first as a newer storage version (lock-free read —
+    // the common nothing-published case costs no lock), then in the
+    // storage's per-relation change log. The relation filter keeps
+    // unrelated write streams from turning set-at-a-time submits into
+    // per-submit re-evaluation (and keeps the write_wakeups counter
+    // meaning what metrics.h says it means).
+    if (opts_.storage->version() != engine_->snapshot().version() &&
+        opts_.storage->ChangedSince(engine_->body_relations(*id),
+                                    engine_->snapshot().version())) {
+      DoWriteWakeup(engine_->body_relations(*id));
     }
   } else {
     pref_of_qid_.erase(*id);  // resolved inside Submit
   }
-}
-
-Result<ir::EntangledQuery> ShardRunner::RealizeQuery(const Op& op) {
-  if (op.program) return op.program->Instantiate(ctx_.get());
-  if (op.dialect == client::Dialect::kSql) {
-    sql::Translator translator(ctx_.get(), engine_->snapshot());
-    return translator.TranslateSql(op.text);
-  }
-  ir::Parser parser(ctx_.get());
-  return parser.ParseQuery(op.text);
 }
 
 void ShardRunner::EnsurePreferenceInstalled() {
@@ -468,10 +451,8 @@ void ShardRunner::OnEngineResolve(ir::QueryId q,
     // Mirrors the AddPending in HandleSubmit: every path out of the
     // pending state (answered, failed, expired, cancelled, migrated out)
     // lands here, so the wake-up index never leaks an entry.
-    if (opts_.wakeup_index != nullptr) {
-      opts_.wakeup_index->RemovePending(opts_.shard_id,
-                                        engine_->body_relations(q));
-    }
+    opts_.wakeup_index->RemovePending(opts_.shard_id,
+                                      engine_->body_relations(q));
   } else if (current_submit_active_) {
     info = current_submit_;
   } else {

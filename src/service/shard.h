@@ -56,11 +56,10 @@ struct ShardOptions {
   std::function<void(uint32_t shard_id)> on_write_wakeup;
 
   /// The service-wide relation→pending-shard index (write-triggered
-  /// re-evaluation). When set, the shard registers every query that
-  /// becomes pending under its body relations and unregisters it on
-  /// resolution, so ApplyWrite can target WriteNotify ops at exactly the
-  /// shards a write could satisfy. Null = wake-ups disabled (the
-  /// pre-reactive flush-bound behavior).
+  /// re-evaluation). Required; must outlive the shard. The shard registers
+  /// every query that becomes pending under its body relations and
+  /// unregisters it on resolution, so a write can target WriteNotify ops
+  /// at exactly the shards it could satisfy.
   WriteWakeupIndex* wakeup_index = nullptr;
 
   /// Batched flush scheduling (set-at-a-time mode): flush when this many
@@ -72,9 +71,6 @@ struct ShardOptions {
   /// Engine evaluation mode. In kIncremental the engine resolves on arrival
   /// and the batch knobs above are ignored (Flush only forces stragglers).
   engine::EvalMode mode = engine::EvalMode::kSetAtATime;
-  bool enforce_safety = true;
-  /// Intra-shard partition-evaluation threads (engine Flush parallelism).
-  size_t worker_threads = 0;
 
   /// Service-wide grounding preference (§6), threaded into the shard
   /// engine's EngineOptions; summed with per-query PreferenceSpecs.
@@ -85,10 +81,6 @@ struct ShardOptions {
   /// events for tickets the service admitted (Op::traced); null disables
   /// shard-side tracing entirely. Must outlive the shard.
   TraceRegistry* traces = nullptr;
-  /// Capacity of the per-shard ring of recent trace events (most recent
-  /// traced activity on this shard, independent of the registry's
-  /// per-ticket retention).
-  size_t trace_ring_capacity = 256;
   /// Slow-query log: a traced query resolving slower than this many
   /// milliseconds renders its full trace into `slow_query_sink`.
   /// 0 disables the log.
@@ -129,12 +121,12 @@ struct ShardStateDump {
 /// so an in-flight coordination round always sees one consistent version.
 /// Engine state is confined to the shard thread — the only cross-thread
 /// traffic is the op queue in, the event function out, and reads of the
-/// internally-synchronized shared interner during parsing.
+/// internally-synchronized shared interner while instantiating programs.
 class ShardRunner {
  public:
   struct Op {
     enum class Kind : uint8_t {
-      kSubmit,   ///< parse text, hand to engine
+      kSubmit,   ///< instantiate the program, hand to engine
       kCancel,   ///< client withdrawal; resolves the ticket as Cancelled
       kMigrate,  ///< silent extraction; emits kMigratedOut, no resolution
       kTick,     ///< advance the engine's logical clock
@@ -149,12 +141,9 @@ class ShardRunner {
     };
     Kind kind = Kind::kSubmit;
     TicketId ticket = 0;
-    /// kSubmit payload: either `program` (canonical portable form — builder
-    /// submissions and all migration re-submissions) or `text` interpreted
-    /// per `dialect` (kIr: parsed by ir::Parser; kSql: translated by the
-    /// shard's own sql::Translator against its private catalog).
-    client::Dialect dialect = client::Dialect::kIr;
-    std::string text;
+    /// kSubmit payload: the canonical portable program every dialect
+    /// normalizes to at the service edge (migration re-submissions ship
+    /// the same form).
     std::shared_ptr<const client::PortableQuery> program;
     /// Per-query grounding preference (kSubmit), summed with the
     /// service-wide preference function.
@@ -256,10 +245,6 @@ class ShardRunner {
   /// counters. Shared by the kWriteNotify dispatch and the
   /// registration-race self-wake in HandleSubmit.
   void DoWriteWakeup(const std::vector<SymbolId>& rels);
-  /// Builds the ir::EntangledQuery for a submit op against this shard's
-  /// private context: instantiate the portable program, translate SQL, or
-  /// parse IR text.
-  Result<ir::EntangledQuery> RealizeQuery(const Op& op);
   /// Installs the composite engine preference (service-wide fn + per-query
   /// specs) the first time it is needed.
   void EnsurePreferenceInstalled();
@@ -281,6 +266,9 @@ class ShardRunner {
   const EventFn event_fn_;
   ShardStats stats_;
   MpscQueue<Op> queue_;
+  /// Ring of the most recent traced activity on this shard, independent
+  /// of the registry's per-ticket retention.
+  static constexpr size_t kTraceRingCapacity = 256;
   TraceRing trace_ring_;
 
   /// The adopted snapshot, mirrored for cross-thread observation. The

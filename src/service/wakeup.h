@@ -12,9 +12,10 @@ namespace eq::service {
 
 /// The service-wide relation→pending-shard index behind write-triggered
 /// re-evaluation: for every database relation, how many pending queries on
-/// each shard read it in their body. ApplyWrite/ApplyDelete/ApplyUpdate
-/// consult it to post a WriteNotify control op to exactly the shards whose
-/// pending work the write could affect — no broadcast, no polling.
+/// each shard read it in their body. Every service write (ApplyBatch,
+/// ExecuteWrite, replicated deltas) consults it to post a WriteNotify
+/// control op to exactly the shards whose pending work the write could
+/// affect — no broadcast, no polling.
 ///
 /// Writers: each shard thread registers its own queries as they become
 /// pending and unregisters them when they resolve, expire, cancel, or

@@ -11,7 +11,8 @@ namespace eq::unify {
 
 /// Textbook set-of-sets unifier used as (a) a correctness oracle for the
 /// disjoint-set implementation in property tests and (b) the "naive MGU"
-/// arm of the ablation benchmark (DESIGN.md ✦: DSU-MGU vs naive MGU).
+/// arm of the ablation benchmark (DSU-MGU vs naive MGU; see
+/// docs/BENCHMARKS.md, "Paper substitutions and deviations").
 ///
 /// Every operation is linear in the number of classes; MergeFrom is
 /// quadratic. Semantics are identical to unify::Unifier.

@@ -20,7 +20,8 @@ namespace eq::workload {
 /// offline, so we generate a scale-free graph with heavy triangle closure
 /// (Holme–Kim-style preferential attachment) at the same scale — the
 /// experiments depend only on the availability of friend pairs / triangles /
-/// cliques, strong clustering, and one large community (see DESIGN.md §4).
+/// cliques, strong clustering, and one large community (see
+/// docs/BENCHMARKS.md, "Paper substitutions and deviations").
 struct SocialGraphOptions {
   uint32_t num_users = 82168;
   uint32_t num_airports = 102;

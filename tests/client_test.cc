@@ -1,7 +1,7 @@
 // Tests for the typed client API: the three query dialects (entangled SQL,
 // IR text, builder programs), cross-dialect answer equivalence through the
-// sharded service, per-query preference ranking (§6), batched submission,
-// admission control, and the Session facade.
+// sharded service, per-query preference ranking (§6), concurrent
+// submission, admission control, and the Session facade.
 
 #include "db/database.h"
 #include <gtest/gtest.h>
@@ -305,10 +305,6 @@ TEST(ClientErrorTest, EmptyTextFailsSynchronouslyInBothTextDialects) {
     EXPECT_FALSE(sql.ok()) << "sql text: '" << text << "'";
     EXPECT_EQ(sql.status().code(), StatusCode::kInvalidArgument);
   }
-  // The legacy shim inherits the same contract.
-  auto legacy = svc.SubmitAsync("  ");
-  EXPECT_FALSE(legacy.ok());
-  EXPECT_EQ(legacy.status().code(), StatusCode::kInvalidArgument);
 }
 
 // ------------------------------------------------------ preference (§6) --
@@ -409,106 +405,103 @@ TEST(SessionTest, ExecuteWriteSpeaksTheSqlWriteDialect) {
       StatusCode::kNotFound);
 }
 
-// ---------------------------------------------------------- batching -----
+// ------------------------------------------------- per-query submission --
 
-TEST(SubmitBatchTest, BatchOfPairsAllCoordinate) {
+TEST(SubmitTest, ManyPairsAllCoordinate) {
   CoordinationService svc(Opts(4));
-  std::vector<Query> batch;
+  std::vector<Ticket> tickets;
   const int kPairs = 16;
   for (int i = 0; i < kPairs; ++i) {
     std::string rel = "Rel" + std::to_string(i);
-    batch.push_back(Query::Ir("{" + rel + "(B" + std::to_string(i) +
-                              ", x)} " + rel + "(A" + std::to_string(i) +
-                              ", x) :- Flights(x, Paris)"));
-    batch.push_back(Query::Ir("{" + rel + "(A" + std::to_string(i) +
-                              ", y)} " + rel + "(B" + std::to_string(i) +
-                              ", y) :- Flights(y, Paris)"));
+    for (const Query& q :
+         {Query::Ir("{" + rel + "(B" + std::to_string(i) + ", x)} " + rel +
+                    "(A" + std::to_string(i) + ", x) :- Flights(x, Paris)"),
+          Query::Ir("{" + rel + "(A" + std::to_string(i) + ", y)} " + rel +
+                    "(B" + std::to_string(i) + ", y) :- Flights(y, Paris)")}) {
+      auto t = svc.Submit(q);
+      ASSERT_TRUE(t.ok()) << t.status().ToString();
+      tickets.push_back(*t);
+    }
   }
-  auto tickets = svc.SubmitBatch(std::move(batch));
-  ASSERT_EQ(tickets.size(), 2u * kPairs);
-  for (const auto& t : tickets) ASSERT_TRUE(t.ok()) << t.status().ToString();
   ASSERT_TRUE(svc.Drain());
-  for (const auto& t : tickets) {
-    EXPECT_EQ((*t).outcome().state, ServiceOutcome::State::kAnswered)
-        << (*t).outcome().status.ToString();
+  for (const Ticket& t : tickets) {
+    EXPECT_EQ(t.outcome().state, ServiceOutcome::State::kAnswered)
+        << t.outcome().status.ToString();
   }
   EXPECT_EQ(svc.Metrics().answered, 2u * kPairs);
 }
 
-TEST(SubmitBatchTest, PartialFailureReportsPerQuery) {
-  CoordinationService svc(Opts(2));
-  std::vector<Query> batch;
-  batch.push_back(Query::Ir("{R(J, x)} R(K, x) :- Flights(x, Paris)"));
-  batch.push_back(Query::Sql("SELECT broken"));  // parse error
-  batch.push_back(Query::Ir(""));                // empty
-  batch.push_back(Query::Ir("{R(K, y)} R(J, y) :- Flights(y, Paris)"));
-  auto tickets = svc.SubmitBatch(std::move(batch));
-  ASSERT_EQ(tickets.size(), 4u);
-  EXPECT_TRUE(tickets[0].ok());
-  EXPECT_EQ(tickets[1].status().code(), StatusCode::kParseError);
-  EXPECT_EQ(tickets[2].status().code(), StatusCode::kInvalidArgument);
-  EXPECT_TRUE(tickets[3].ok());
-  ASSERT_TRUE(svc.Drain());
-  EXPECT_EQ((*tickets[0]).outcome().state, ServiceOutcome::State::kAnswered);
-  EXPECT_EQ((*tickets[3]).outcome().state, ServiceOutcome::State::kAnswered);
-}
-
-TEST(SubmitBatchTest, BatchMergingGroupsMigratesStranded) {
-  // A batch whose last query bridges the groups created by its first two:
-  // the single-lock submit path must still run the (indexed) migration
-  // sweep mid-batch.
+TEST(SubmitTest, BridgeQueryMergesGroupsAndMigratesStranded) {
+  // The last query bridges the groups created by the first two: routing it
+  // merges the groups and migrates the stranded one (indexed sweep).
   CoordinationService svc(Opts(2, engine::EvalMode::kSetAtATime));
-  std::vector<Query> batch;
-  batch.push_back(Query::Ir("{Ra(Bob, x)} Ra(Alice, x) :- Flights(x, Paris)"));
-  batch.push_back(Query::Ir("{Rb(Carol, y)} Rb(Dan, y) :- Flights(y, Paris)"));
-  batch.push_back(Query::Ir(
-      "{Ra(Alice, z), Rb(Dan, z)} Ra(Bob, z), Rb(Carol, z) "
-      ":- Flights(z, Paris)"));
-  auto tickets = svc.SubmitBatch(std::move(batch));
-  ASSERT_EQ(tickets.size(), 3u);
-  for (const auto& t : tickets) ASSERT_TRUE(t.ok());
+  std::vector<Ticket> tickets;
+  for (const Query& q :
+       {Query::Ir("{Ra(Bob, x)} Ra(Alice, x) :- Flights(x, Paris)"),
+        Query::Ir("{Rb(Carol, y)} Rb(Dan, y) :- Flights(y, Paris)"),
+        Query::Ir("{Ra(Alice, z), Rb(Dan, z)} Ra(Bob, z), Rb(Carol, z) "
+                  ":- Flights(z, Paris)")}) {
+    auto t = svc.Submit(q);
+    ASSERT_TRUE(t.ok()) << t.status().ToString();
+    tickets.push_back(*t);
+  }
   EXPECT_EQ(svc.router().ShardOfRelation("Ra"),
             svc.router().ShardOfRelation("Rb"));
   ASSERT_TRUE(svc.Drain());
-  for (const auto& t : tickets) {
-    EXPECT_EQ((*t).outcome().state, ServiceOutcome::State::kAnswered)
-        << (*t).outcome().status.ToString();
+  for (const Ticket& t : tickets) {
+    EXPECT_EQ(t.outcome().state, ServiceOutcome::State::kAnswered)
+        << t.outcome().status.ToString();
   }
 }
 
-// The ThreadSanitizer workhorse for the batch path: concurrent batched
-// submissions (mixed dialects) against a live ticker.
-TEST(SubmitBatchTest, ConcurrentBatchesCoordinate) {
+// The ThreadSanitizer workhorse for the submit path: concurrent per-query
+// submissions in all three dialects (SQL, IR, builder) against a live
+// 1 ms ticker.
+TEST(SubmitTest, ConcurrentMixedDialectSubmitsCoordinate) {
   ServiceOptions o = Opts(4);
   o.tick_interval = std::chrono::milliseconds(1);
   CoordinationService svc(o);
   constexpr int kThreads = 4;
-  constexpr int kBatchesPerThread = 8;
-  constexpr int kPairsPerBatch = 4;
+  constexpr int kRoundsPerThread = 8;
+  constexpr int kPairsPerRound = 3;
+  // One side of a pair: `me` reserves the same Paris flight as `partner`
+  // in `rel`, phrased in dialect `d` (0 = SQL, 1 = IR, 2 = builder).
+  auto side = [](int d, const std::string& rel, const std::string& me,
+                 const std::string& partner) -> Query {
+    switch (d) {
+      case 0:
+        return Query::Sql("SELECT '" + me + "', fno INTO ANSWER " + rel +
+                          " WHERE fno IN (SELECT fno FROM Flights WHERE "
+                          "dest='Paris') AND ('" + partner + "', fno) IN "
+                          "ANSWER " + rel + " CHOOSE 1");
+      case 1:
+        return Query::Ir("{" + rel + "(" + partner + ", x)} " + rel + "(" +
+                         me + ", x) :- Flights(x, Paris)");
+      default:
+        return QueryBuilder()
+            .Postcondition(rel, {Str(partner), Var("y")})
+            .Head(rel, {Str(me), Var("y")})
+            .Body("Flights", {Var("y"), Str("Paris")})
+            .Build();
+    }
+  };
   std::vector<std::vector<Ticket>> per_thread(kThreads);
   std::vector<std::thread> clients;
   for (int t = 0; t < kThreads; ++t) {
     clients.emplace_back([&, t] {
-      for (int b = 0; b < kBatchesPerThread; ++b) {
-        std::vector<Query> batch;
-        for (int i = 0; i < kPairsPerBatch; ++i) {
+      for (int r = 0; r < kRoundsPerThread; ++r) {
+        for (int i = 0; i < kPairsPerRound; ++i) {
           std::string rel = "T" + std::to_string(t) + "_" +
-                            std::to_string(b) + "_" + std::to_string(i);
+                            std::to_string(r) + "_" + std::to_string(i);
           std::string a = "A" + std::to_string(t);
           std::string z = "Z" + std::to_string(t);
-          batch.push_back(Query::Ir("{" + rel + "(" + z + ", x)} " + rel +
-                                    "(" + a + ", x) :- Flights(x, Paris)"));
-          batch.push_back(
-              QueryBuilder()
-                  .Postcondition(rel, {Str(a), Var("y")})
-                  .Head(rel, {Str(z), Var("y")})
-                  .Body("Flights", {Var("y"), Str("Paris")})
-                  .Build());
-        }
-        auto tickets = svc.SubmitBatch(std::move(batch));
-        for (auto& r : tickets) {
-          ASSERT_TRUE(r.ok()) << r.status().ToString();
-          per_thread[t].push_back(*r);
+          // Pair i mixes dialects (i, i+1): SQL+IR, IR+builder, builder+SQL.
+          for (const Query& q :
+               {side(i % 3, rel, a, z), side((i + 1) % 3, rel, z, a)}) {
+            auto ticket = svc.Submit(q);
+            ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
+            per_thread[t].push_back(*ticket);
+          }
         }
       }
     });
@@ -523,7 +516,7 @@ TEST(SubmitBatchTest, ConcurrentBatchesCoordinate) {
     }
   }
   EXPECT_EQ(svc.Metrics().answered,
-            2u * kThreads * kBatchesPerThread * kPairsPerBatch);
+            2u * kThreads * kRoundsPerThread * kPairsPerRound);
 }
 
 // -------------------------------------------------- admission control ----

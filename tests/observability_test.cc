@@ -18,7 +18,16 @@
 namespace eq::service {
 namespace {
 
+using client::Query;
 using engine::EvalMode;
+using TableWrite = db::Storage::TableWrite;
+
+/// A one-row insert into `table`(int, string), for ApplyBatch.
+TableWrite InsertRow(CoordinationService& svc, const char* table, int64_t n,
+                     const std::string& s) {
+  return TableWrite::Insert(
+      table, {ir::Value::Int(n), ir::Value::Str(svc.interner().Intern(s))});
+}
 
 void FlightBootstrap(ir::QueryContext* ctx, db::Database* db) {
   ASSERT_TRUE(db->CreateTable("F", {{"fno", ir::ValueType::kInt},
@@ -197,8 +206,8 @@ TEST(TraceRegistryTest, RecordForUnadmittedTicketIsNoOp) {
 
 TEST(QueryTraceTest, FlushResolutionTracesOrderedLifecycle) {
   CoordinationService svc(Opts(1));
-  auto a = svc.SubmitAsync("{R(J, x)} R(K, x) :- F(x, Paris)");
-  auto b = svc.SubmitAsync("{R(K, y)} R(J, y) :- F(y, Paris)");
+  auto a = svc.Submit(Query::Ir("{R(J, x)} R(K, x) :- F(x, Paris)"));
+  auto b = svc.Submit(Query::Ir("{R(K, y)} R(J, y) :- F(y, Paris)"));
   ASSERT_TRUE(a.ok() && b.ok());
   ASSERT_TRUE(svc.Drain());
 
@@ -240,15 +249,12 @@ TEST(QueryTraceTest, FlushResolutionTracesOrderedLifecycle) {
 
 TEST(QueryTraceTest, WakeupResolutionTracesWakeupEval) {
   CoordinationService svc(Opts(1));
-  auto a = svc.SubmitAsync("{R(J, x)} R(K, x) :- F(x, Lisbon)");
-  auto b = svc.SubmitAsync("{R(K, y)} R(J, y) :- F(y, Lisbon)");
+  auto a = svc.Submit(Query::Ir("{R(J, x)} R(K, x) :- F(x, Lisbon)"));
+  auto b = svc.Submit(Query::Ir("{R(K, y)} R(J, y) :- F(y, Lisbon)"));
   ASSERT_TRUE(a.ok() && b.ok());
   WaitForPending(svc, 2);
 
-  ASSERT_TRUE(svc.ApplyWrite("F", {ir::Value::Int(900),
-                                   ir::Value::Str(
-                                       svc.interner().Intern("Lisbon"))})
-                  .ok());
+  ASSERT_TRUE(svc.ApplyBatch({InsertRow(svc, "F", 900, "Lisbon")}).ok());
   ASSERT_TRUE(a->WaitFor(std::chrono::milliseconds(10000)));
   ASSERT_TRUE(b->WaitFor(std::chrono::milliseconds(10000)));
 
@@ -268,13 +274,14 @@ TEST(QueryTraceTest, WakeupResolutionTracesWakeupEval) {
 
 TEST(QueryTraceTest, MigrationTraceSpansBothShards) {
   CoordinationService svc(Opts(2));
-  auto t1 = svc.SubmitAsync("{Ra(Bob, x)} Ra(Alice, x) :- F(x, Paris)");
-  auto t2 = svc.SubmitAsync("{Rb(Carol, y)} Rb(Dan, y) :- F(y, Paris)");
+  auto t1 = svc.Submit(Query::Ir("{Ra(Bob, x)} Ra(Alice, x) :- F(x, Paris)"));
+  auto t2 = svc.Submit(Query::Ir("{Rb(Carol, y)} Rb(Dan, y) :- F(y, Paris)"));
   ASSERT_TRUE(t1.ok() && t2.ok());
   ASSERT_NE(svc.router().ShardOfRelation("Ra"),
             svc.router().ShardOfRelation("Rb"));
-  auto t3 = svc.SubmitAsync(
-      "{Ra(Alice, z), Rb(Dan, z)} Ra(Bob, z), Rb(Carol, z) :- F(z, Paris)");
+  auto t3 = svc.Submit(
+      Query::Ir("{Ra(Alice, z), Rb(Dan, z)} Ra(Bob, z), Rb(Carol, z) "
+                ":- F(z, Paris)"));
   ASSERT_TRUE(t3.ok());
   ASSERT_TRUE(svc.Drain());
   ASSERT_GE(svc.Metrics().migrations, 1u);
@@ -314,8 +321,8 @@ TEST(QueryTraceTest, UnsampledTicketIsNotFound) {
   o.trace_all = false;
   o.trace_sample_every = 0;  // tracing disabled
   CoordinationService svc(std::move(o));
-  auto a = svc.SubmitAsync("{R(J, x)} R(K, x) :- F(x, Paris)");
-  auto b = svc.SubmitAsync("{R(K, y)} R(J, y) :- F(y, Paris)");
+  auto a = svc.Submit(Query::Ir("{R(J, x)} R(K, x) :- F(x, Paris)"));
+  auto b = svc.Submit(Query::Ir("{R(K, y)} R(J, y) :- F(y, Paris)"));
   ASSERT_TRUE(a.ok() && b.ok());
   ASSERT_TRUE(svc.Drain());
   auto trace = svc.Trace(*a);
@@ -326,20 +333,17 @@ TEST(QueryTraceTest, UnsampledTicketIsNotFound) {
 // ----------------------------------------------------------- dump state --
 
 TEST(DumpStateTest, ShowsStrandedPendingQueryWithGroupAndLag) {
-  // Strand a pair deliberately: wake-ups off, so the write below bumps the
-  // storage head but nothing adopts it — exactly the situation DumpState
-  // exists to diagnose (pending queries + snapshot lag).
-  ServiceOptions o = Opts(1);
-  o.write_wakeups = false;
-  CoordinationService svc(std::move(o));
-  auto a = svc.SubmitAsync("{R(J, x)} R(K, x) :- F(x, Vienna)");
-  auto b = svc.SubmitAsync("{R(K, y)} R(J, y) :- F(y, Vienna)");
+  // Strand a pair deliberately: it waits on a Vienna flight that does not
+  // exist, and the write below goes to A, a table the pair does not read.
+  // The storage head moves, but no shard is woken and no flush or tick
+  // runs, so nothing adopts it — exactly the situation DumpState exists
+  // to diagnose (pending queries + snapshot lag).
+  CoordinationService svc(Opts(1));
+  auto a = svc.Submit(Query::Ir("{R(J, x)} R(K, x) :- F(x, Vienna)"));
+  auto b = svc.Submit(Query::Ir("{R(K, y)} R(J, y) :- F(y, Vienna)"));
   ASSERT_TRUE(a.ok() && b.ok());
   WaitForPending(svc, 2);
-  ASSERT_TRUE(svc.ApplyWrite("F", {ir::Value::Int(800),
-                                   ir::Value::Str(
-                                       svc.interner().Intern("Vienna"))})
-                  .ok());
+  ASSERT_TRUE(svc.ApplyBatch({InsertRow(svc, "A", 800, "Austrian")}).ok());
 
   ServiceStateDump dump = svc.DumpState();
   EXPECT_EQ(dump.storage_version, svc.storage().version());
@@ -364,8 +368,14 @@ TEST(DumpStateTest, ShowsStrandedPendingQueryWithGroupAndLag) {
   EXPECT_NE(s.find("group=R"), std::string::npos) << s;
   EXPECT_NE(s.find("lag="), std::string::npos) << s;
 
-  // Resolve the strand so shutdown is clean.
-  ASSERT_TRUE(svc.Drain());
+  // Resolve the strand with the write the pair waits for: its wake-up
+  // answers both queries.
+  ASSERT_TRUE(svc.ApplyBatch({InsertRow(svc, "F", 800, "Vienna")}).ok());
+  ASSERT_TRUE(a->WaitFor(std::chrono::milliseconds(10000)));
+  ASSERT_TRUE(b->WaitFor(std::chrono::milliseconds(10000)));
+  EXPECT_EQ(a->outcome().state, ServiceOutcome::State::kAnswered)
+      << a->outcome().status.ToString();
+  EXPECT_EQ(b->outcome().state, ServiceOutcome::State::kAnswered);
   ServiceStateDump after = svc.DumpState();
   EXPECT_TRUE(after.shards[0].pending.empty());
 }
@@ -374,8 +384,8 @@ TEST(DumpStateTest, ShowsStrandedPendingQueryWithGroupAndLag) {
 
 TEST(ExportTest, PrometheusTextHasCumulativeHistogram) {
   CoordinationService svc(Opts(2));
-  auto a = svc.SubmitAsync("{R(J, x)} R(K, x) :- F(x, Paris)");
-  auto b = svc.SubmitAsync("{R(K, y)} R(J, y) :- F(y, Paris)");
+  auto a = svc.Submit(Query::Ir("{R(J, x)} R(K, x) :- F(x, Paris)"));
+  auto b = svc.Submit(Query::Ir("{R(K, y)} R(J, y) :- F(y, Paris)"));
   ASSERT_TRUE(a.ok() && b.ok());
   ASSERT_TRUE(svc.Drain());
 
@@ -413,8 +423,8 @@ TEST(ExportTest, PrometheusTextHasCumulativeHistogram) {
 
 TEST(ExportTest, JsonCarriesCountersPercentilesAndShards) {
   CoordinationService svc(Opts(2));
-  auto a = svc.SubmitAsync("{R(J, x)} R(K, x) :- F(x, Paris)");
-  auto b = svc.SubmitAsync("{R(K, y)} R(J, y) :- F(y, Paris)");
+  auto a = svc.Submit(Query::Ir("{R(J, x)} R(K, x) :- F(x, Paris)"));
+  auto b = svc.Submit(Query::Ir("{R(K, y)} R(J, y) :- F(y, Paris)"));
   ASSERT_TRUE(a.ok() && b.ok());
   ASSERT_TRUE(svc.Drain());
 
@@ -437,8 +447,8 @@ TEST(ExportTest, JsonCarriesCountersPercentilesAndShards) {
 
 TEST(ExportTest, EnrichedShardLinesKeepServiceLineStable) {
   CoordinationService svc(Opts(1));
-  auto a = svc.SubmitAsync("{R(J, x)} R(K, x) :- F(x, Paris)");
-  auto b = svc.SubmitAsync("{R(K, y)} R(J, y) :- F(y, Paris)");
+  auto a = svc.Submit(Query::Ir("{R(J, x)} R(K, x) :- F(x, Paris)"));
+  auto b = svc.Submit(Query::Ir("{R(K, y)} R(J, y) :- F(y, Paris)"));
   ASSERT_TRUE(a.ok() && b.ok());
   ASSERT_TRUE(svc.Drain());
   std::string s = svc.Metrics().ToString();
@@ -467,8 +477,8 @@ TEST(SlowQueryLogTest, SinkReceivesFullTraceAboveThreshold) {
   CoordinationService svc(std::move(o));
   EXPECT_TRUE(svc.traces().options().trace_all);  // implied by the threshold
 
-  auto a = svc.SubmitAsync("{R(J, x)} R(K, x) :- F(x, Paris)");
-  auto b = svc.SubmitAsync("{R(K, y)} R(J, y) :- F(y, Paris)");
+  auto a = svc.Submit(Query::Ir("{R(J, x)} R(K, x) :- F(x, Paris)"));
+  auto b = svc.Submit(Query::Ir("{R(K, y)} R(J, y) :- F(y, Paris)"));
   ASSERT_TRUE(a.ok() && b.ok());
   ASSERT_TRUE(svc.Drain());
 
@@ -487,8 +497,8 @@ TEST(SlowQueryLogTest, FastQueriesBelowThresholdStayQuiet) {
   o.slow_query_threshold_ms = 60000;  // a minute: nothing qualifies
   o.slow_query_sink = [&](const QueryTrace&) { fired.fetch_add(1); };
   CoordinationService svc(std::move(o));
-  auto a = svc.SubmitAsync("{R(J, x)} R(K, x) :- F(x, Paris)");
-  auto b = svc.SubmitAsync("{R(K, y)} R(J, y) :- F(y, Paris)");
+  auto a = svc.Submit(Query::Ir("{R(J, x)} R(K, x) :- F(x, Paris)"));
+  auto b = svc.Submit(Query::Ir("{R(K, y)} R(J, y) :- F(y, Paris)"));
   ASSERT_TRUE(a.ok() && b.ok());
   ASSERT_TRUE(svc.Drain());
   EXPECT_EQ(fired.load(), 0);
@@ -522,18 +532,17 @@ TEST(ObservabilityConcurrencyTest, TraceAndDumpStateRaceLiveTraffic) {
   std::thread submitter([&] {
     for (int i = 0; i < 40 && !stop.load(); ++i) {
       std::string rel = "Rel" + std::to_string(i);
-      auto a = svc.SubmitAsync("{" + rel + "(J, x)} " + rel +
-                               "(K, x) :- F(x, Paris)");
-      auto b = svc.SubmitAsync("{" + rel + "(K, y)} " + rel +
-                               "(J, y) :- F(y, Paris)");
+      auto a = svc.Submit(Query::Ir("{" + rel + "(J, x)} " + rel +
+                                    "(K, x) :- F(x, Paris)"));
+      auto b = svc.Submit(Query::Ir("{" + rel + "(K, y)} " + rel +
+                                    "(J, y) :- F(y, Paris)"));
       if (b.ok()) max_ticket.store(b->id());
     }
   });
   std::thread writer([&] {
     for (int i = 0; i < 40 && !stop.load(); ++i) {
       Status s =
-          svc.ApplyWrite("F", {ir::Value::Int(1000 + i),
-                               ir::Value::Str(svc.interner().Intern("Paris"))});
+          svc.ApplyBatch({InsertRow(svc, "F", 1000 + i, "Paris")});
       (void)s;
     }
   });

@@ -18,7 +18,16 @@
 namespace eq::service {
 namespace {
 
+using client::Query;
 using engine::EvalMode;
+using TableWrite = db::Storage::TableWrite;
+
+/// A one-row insert into `table`(int, string), for ApplyBatch.
+TableWrite InsertRow(CoordinationService& svc, const char* table, int64_t n,
+                     const std::string& s) {
+  return TableWrite::Insert(
+      table, {ir::Value::Int(n), ir::Value::Str(svc.interner().Intern(s))});
+}
 
 /// Every shard gets the Figure 1 flight database (plus a generic relation
 /// pool for the routing tests).
@@ -219,8 +228,8 @@ TEST(QueryRouterTest, ColocationMatchesRelationComponents) {
 TEST(CoordinationServiceTest, PairCoordinatesAcrossSubmissions) {
   CoordinationService svc(Opts(4));
   auto [qa, qb] = PairFor("R", 0);
-  auto ta = svc.SubmitAsync(qa);
-  auto tb = svc.SubmitAsync(qb);
+  auto ta = svc.Submit(Query::Ir(qa));
+  auto tb = svc.Submit(Query::Ir(qb));
   ASSERT_TRUE(ta.ok() && tb.ok());
   ASSERT_TRUE(svc.Drain());
   ASSERT_TRUE(ta->Done() && tb->Done());
@@ -238,11 +247,12 @@ TEST(CoordinationServiceTest, CallbackDeliveryAndFutureAgree) {
   std::atomic<int> calls{0};
   ServiceOutcome via_callback;
   auto [qa, qb] = PairFor("R", 1);
-  auto ta = svc.SubmitAsync(qa, 0, [&](TicketId, const ServiceOutcome& o) {
+  auto ta = svc.Submit(
+      Query::Ir(qa), {.callback = [&](TicketId, const ServiceOutcome& o) {
     via_callback = o;
     calls.fetch_add(1);
-  });
-  auto tb = svc.SubmitAsync(qb);
+  }});
+  auto tb = svc.Submit(Query::Ir(qb));
   ASSERT_TRUE(ta.ok() && tb.ok());
   ASSERT_TRUE(svc.Drain());
   ta->Wait();
@@ -256,8 +266,8 @@ TEST(CoordinationServiceTest, DisjointPairsSpreadOverShardsAndAllAnswer) {
   std::vector<Ticket> tickets;
   for (int i = 0; i < kPairs; ++i) {
     auto [qa, qb] = PairFor("Rel" + std::to_string(i), i);
-    auto ta = svc.SubmitAsync(qa);
-    auto tb = svc.SubmitAsync(qb);
+    auto ta = svc.Submit(Query::Ir(qa));
+    auto tb = svc.Submit(Query::Ir(qb));
     ASSERT_TRUE(ta.ok() && tb.ok());
     tickets.push_back(*ta);
     tickets.push_back(*tb);
@@ -279,7 +289,7 @@ TEST(CoordinationServiceTest, DisjointPairsSpreadOverShardsAndAllAnswer) {
 
 TEST(CoordinationServiceTest, PartnerlessQueryFailsOnFlush) {
   CoordinationService svc(Opts(2));
-  auto t = svc.SubmitAsync("{R(Ghost, x)} R(Newman, x) :- F(x, Rome)");
+  auto t = svc.Submit(Query::Ir("{R(Ghost, x)} R(Newman, x) :- F(x, Rome)"));
   ASSERT_TRUE(t.ok());
   ASSERT_TRUE(svc.Drain());
   EXPECT_EQ(t->outcome().state, ServiceOutcome::State::kFailed);
@@ -291,7 +301,7 @@ TEST(CoordinationServiceTest, ParseErrorFailsSynchronously) {
   // submission now, so all three dialects report malformed input before a
   // ticket exists.
   CoordinationService svc(Opts(2));
-  auto t = svc.SubmitAsync("{R(J, x)} R(K, x :- F(x,");  // malformed
+  auto t = svc.Submit(Query::Ir("{R(J, x)} R(K, x :- F(x,"));  // malformed
   EXPECT_FALSE(t.ok());
   EXPECT_EQ(t.status().code(), StatusCode::kParseError);
   EXPECT_EQ(svc.Metrics().parse_errors, 1u);
@@ -300,14 +310,14 @@ TEST(CoordinationServiceTest, ParseErrorFailsSynchronously) {
 
 TEST(CoordinationServiceTest, UnroutableTextFailsSynchronously) {
   CoordinationService svc(Opts(2));
-  auto t = svc.SubmitAsync("not a query at all");
+  auto t = svc.Submit(Query::Ir("not a query at all"));
   EXPECT_FALSE(t.ok());
   EXPECT_EQ(t.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(CoordinationServiceTest, CancelResolvesAsCancelled) {
   CoordinationService svc(Opts(2));
-  auto t = svc.SubmitAsync("{R(J, x)} R(K, x) :- F(x, Paris)");
+  auto t = svc.Submit(Query::Ir("{R(J, x)} R(K, x) :- F(x, Paris)"));
   ASSERT_TRUE(t.ok());
   ASSERT_TRUE(svc.Cancel(*t).ok());
   t->Wait();
@@ -322,8 +332,8 @@ TEST(CoordinationServiceTest, ManualTicksExpireStaleQueries) {
   // Incremental mode: a partnerless query waits (no batch flush to fail
   // it), so the staleness clock is what resolves it.
   CoordinationService svc(Opts(2, EvalMode::kIncremental));
-  auto t = svc.SubmitAsync("{R(J, x)} R(K, x) :- F(x, Paris)",
-                           /*ttl_ticks=*/3);
+  auto t = svc.Submit(
+      Query::Ir("{R(J, x)} R(K, x) :- F(x, Paris)"), {.ttl_ticks = 3});
   ASSERT_TRUE(t.ok());
   svc.AdvanceTicks(5);
   ASSERT_TRUE(t->WaitFor(std::chrono::milliseconds(2000)));
@@ -335,8 +345,8 @@ TEST(CoordinationServiceTest, WallClockTickerExpiresStaleQueries) {
   ServiceOptions o = Opts(2, EvalMode::kIncremental);
   o.tick_interval = std::chrono::milliseconds(5);
   CoordinationService svc(o);
-  auto t = svc.SubmitAsync("{R(J, x)} R(K, x) :- F(x, Paris)",
-                           /*ttl_ticks=*/3);
+  auto t = svc.Submit(
+      Query::Ir("{R(J, x)} R(K, x) :- F(x, Paris)"), {.ttl_ticks = 3});
   ASSERT_TRUE(t.ok());
   // ~15ms of wall clock; give the ticker ample slack.
   ASSERT_TRUE(t->WaitFor(std::chrono::milliseconds(5000)));
@@ -348,14 +358,15 @@ TEST(CoordinationServiceTest, GroupMergeMigratesStrandedQueries) {
   // side must migrate so the three-way cycle coordinates on one shard.
   CoordinationService svc(Opts(2));
   // Group Ra → shard A (least-loaded placement), group Rb → shard B.
-  auto t1 = svc.SubmitAsync("{Ra(Bob, x)} Ra(Alice, x) :- F(x, Paris)");
-  auto t2 = svc.SubmitAsync("{Rb(Carol, y)} Rb(Dan, y) :- F(y, Paris)");
+  auto t1 = svc.Submit(Query::Ir("{Ra(Bob, x)} Ra(Alice, x) :- F(x, Paris)"));
+  auto t2 = svc.Submit(Query::Ir("{Rb(Carol, y)} Rb(Dan, y) :- F(y, Paris)"));
   ASSERT_TRUE(t1.ok() && t2.ok());
   ASSERT_NE(svc.router().ShardOfRelation("Ra"),
             svc.router().ShardOfRelation("Rb"));
   // Bridge: answers Alice's postcondition, needs Dan's head relation.
-  auto t3 = svc.SubmitAsync(
-      "{Ra(Alice, z), Rb(Dan, z)} Ra(Bob, z), Rb(Carol, z) :- F(z, Paris)");
+  auto t3 = svc.Submit(
+      Query::Ir("{Ra(Alice, z), Rb(Dan, z)} Ra(Bob, z), Rb(Carol, z) "
+                ":- F(z, Paris)"));
   ASSERT_TRUE(t3.ok());
   EXPECT_EQ(svc.router().ShardOfRelation("Ra"),
             svc.router().ShardOfRelation("Rb"));
@@ -375,11 +386,12 @@ TEST(CoordinationServiceTest, CancelDuringMigrationStillResolves) {
   // the old shard (which had already extracted the query) and get lost,
   // leaving the ticket pending forever.
   CoordinationService svc(Opts(2));
-  auto t1 = svc.SubmitAsync("{Ra(Bob, x)} Ra(Alice, x) :- F(x, Paris)");
-  auto t2 = svc.SubmitAsync("{Rb(Carol, y)} Rb(Dan, y) :- F(y, Paris)");
+  auto t1 = svc.Submit(Query::Ir("{Ra(Bob, x)} Ra(Alice, x) :- F(x, Paris)"));
+  auto t2 = svc.Submit(Query::Ir("{Rb(Carol, y)} Rb(Dan, y) :- F(y, Paris)"));
   ASSERT_TRUE(t1.ok() && t2.ok());
-  auto t3 = svc.SubmitAsync(
-      "{Ra(Alice, z), Rb(Dan, z)} Ra(Bob, z), Rb(Carol, z) :- F(z, Paris)");
+  auto t3 = svc.Submit(
+      Query::Ir("{Ra(Alice, z), Rb(Dan, z)} Ra(Bob, z), Rb(Carol, z) "
+                ":- F(z, Paris)"));
   ASSERT_TRUE(t3.ok());
   // One of t1/t2 is now stranded and mid-migration; withdraw both sides —
   // each must resolve (as Cancelled) whichever path its cancel takes.
@@ -402,7 +414,7 @@ TEST(CoordinationServiceTest, DestructorResolvesPendingTickets) {
   Ticket t;
   {
     CoordinationService svc(Opts(2));
-    auto r = svc.SubmitAsync("{R(J, x)} R(K, x) :- F(x, Paris)");
+    auto r = svc.Submit(Query::Ir("{R(J, x)} R(K, x) :- F(x, Paris)"));
     ASSERT_TRUE(r.ok());
     t = *r;
   }  // no Drain
@@ -424,8 +436,8 @@ TEST(CoordinationServiceTest, InvalidTicketAccessorsAreSafe) {
 TEST(CoordinationServiceTest, IncrementalModeAnswersWithoutFlush) {
   CoordinationService svc(Opts(2, EvalMode::kIncremental));
   auto [qa, qb] = PairFor("R", 2);
-  auto ta = svc.SubmitAsync(qa);
-  auto tb = svc.SubmitAsync(qb);
+  auto ta = svc.Submit(Query::Ir(qa));
+  auto tb = svc.Submit(Query::Ir(qb));
   ASSERT_TRUE(ta.ok() && tb.ok());
   // No Drain: incremental engines answer on partner arrival.
   ASSERT_TRUE(ta->WaitFor(std::chrono::milliseconds(5000)));
@@ -439,12 +451,13 @@ TEST(CoordinationServiceTest, MetricsAggregateAcrossShards) {
   std::vector<Ticket> tickets;
   for (int i = 0; i < 12; ++i) {
     auto [qa, qb] = PairFor("Rel" + std::to_string(i), i);
-    tickets.push_back(*svc.SubmitAsync(qa));
-    tickets.push_back(*svc.SubmitAsync(qb));
+    tickets.push_back(*svc.Submit(Query::Ir(qa)));
+    tickets.push_back(*svc.Submit(Query::Ir(qb)));
   }
   // One partnerless straggler and one cancel.
-  auto lone = svc.SubmitAsync("{Lone(Ghost, x)} Lone(Newman, x) :- F(x, Rome)");
-  auto gone = svc.SubmitAsync("{Gone(A, x)} Gone(B, x) :- F(x, Rome)");
+  auto lone = svc.Submit(
+      Query::Ir("{Lone(Ghost, x)} Lone(Newman, x) :- F(x, Rome)"));
+  auto gone = svc.Submit(Query::Ir("{Gone(A, x)} Gone(B, x) :- F(x, Rome)"));
   ASSERT_TRUE(lone.ok() && gone.ok());
   ASSERT_TRUE(svc.Cancel(*gone).ok());
   ASSERT_TRUE(svc.Drain());
@@ -485,15 +498,15 @@ TEST(CoordinationServiceTest, ConcurrentSubmitCancelAndTicker) {
         std::string rel =
             "T" + std::to_string(t) + "_" + std::to_string(i);
         auto [qa, qb] = PairFor(rel, t * 1000 + i);
-        auto ta = svc.SubmitAsync(qa, /*ttl_ticks=*/1000000);
-        auto tb = svc.SubmitAsync(qb, /*ttl_ticks=*/1000000);
+        auto ta = svc.Submit(Query::Ir(qa), {.ttl_ticks = 1000000});
+        auto tb = svc.Submit(Query::Ir(qb), {.ttl_ticks = 1000000});
         ASSERT_TRUE(ta.ok() && tb.ok());
         per_thread[t].push_back(*ta);
         per_thread[t].push_back(*tb);
         // Sprinkle cancellations on a partnerless extra query.
         if (i % 5 == 0) {
-          auto tc = svc.SubmitAsync("{X" + rel + "(A, x)} X" + rel +
-                                    "(B, x) :- F(x, Rome)");
+          auto tc = svc.Submit(Query::Ir("{X" + rel + "(A, x)} X" + rel +
+                                         "(B, x) :- F(x, Rome)"));
           ASSERT_TRUE(tc.ok());
           if (svc.Cancel(*tc).ok()) cancelled_ok.fetch_add(1);
           per_thread[t].push_back(*tc);
@@ -535,8 +548,8 @@ TEST(SharedSnapshotTest, BootstrapRunsOnceAndShardsShareTableVersions) {
   std::vector<Ticket> tickets;
   for (int i = 0; i < 16; ++i) {
     auto [qa, qb] = PairFor("Rel" + std::to_string(i), i);
-    auto a = svc.SubmitAsync(qa);
-    auto b = svc.SubmitAsync(qb);
+    auto a = svc.Submit(Query::Ir(qa));
+    auto b = svc.Submit(Query::Ir(qb));
     ASSERT_TRUE(a.ok() && b.ok());
     tickets.push_back(*a);
     tickets.push_back(*b);
@@ -559,7 +572,7 @@ TEST(SharedSnapshotTest, BootstrapRunsOnceAndShardsShareTableVersions) {
   }
 }
 
-TEST(SharedSnapshotTest, ApplyWriteRoundTripVisibleAfterNextFlush) {
+TEST(SharedSnapshotTest, WriteRoundTripVisibleAfterNextFlush) {
   // Live write ingestion: a row written through the service becomes part
   // of a new published version, and a pair coordinating on it answers
   // after the shards' next flush boundary.
@@ -568,14 +581,11 @@ TEST(SharedSnapshotTest, ApplyWriteRoundTripVisibleAfterNextFlush) {
   // write, so the visibility below provably goes through a refresh.
   svc.FlushAll();
   uint64_t v0 = svc.storage().version();
-  ASSERT_TRUE(svc.ApplyWrite("F", {ir::Value::Int(800),
-                                   ir::Value::Str(
-                                       svc.interner().Intern("Vienna"))})
-                  .ok());
+  ASSERT_TRUE(svc.ApplyBatch({InsertRow(svc, "F", 800, "Vienna")}).ok());
   EXPECT_EQ(svc.storage().version(), v0 + 1);
 
-  auto a = svc.SubmitAsync("{R(J, x)} R(K, x) :- F(x, Vienna)");
-  auto b = svc.SubmitAsync("{R(K, y)} R(J, y) :- F(y, Vienna)");
+  auto a = svc.Submit(Query::Ir("{R(J, x)} R(K, x) :- F(x, Vienna)"));
+  auto b = svc.Submit(Query::Ir("{R(K, y)} R(J, y) :- F(y, Vienna)"));
   ASSERT_TRUE(a.ok() && b.ok());
   ASSERT_TRUE(svc.Drain());
   ASSERT_EQ(a->outcome().state, ServiceOutcome::State::kAnswered)
@@ -600,8 +610,8 @@ TEST(SharedSnapshotTest, ApplyBatchPublishesOneVersion) {
   ASSERT_TRUE(svc.ApplyBatch(writes).ok());
   EXPECT_EQ(svc.storage().version(), v0 + 1);
 
-  auto a = svc.SubmitAsync("{R(J, x)} R(K, x) :- F(x, Oslo)");
-  auto b = svc.SubmitAsync("{R(K, y)} R(J, y) :- F(y, Oslo)");
+  auto a = svc.Submit(Query::Ir("{R(J, x)} R(K, x) :- F(x, Oslo)"));
+  auto b = svc.Submit(Query::Ir("{R(K, y)} R(J, y) :- F(y, Oslo)"));
   ASSERT_TRUE(a.ok() && b.ok());
   ASSERT_TRUE(svc.Drain());
   EXPECT_EQ(a->outcome().state, ServiceOutcome::State::kAnswered);
@@ -633,9 +643,8 @@ TEST(SharedSnapshotTest, ConcurrentWritersAndSubmittersStayConsistent) {
       int i = 0;
       while (!stop.load(std::memory_order_relaxed)) {
         ASSERT_TRUE(
-            svc.ApplyWrite("F",
-                           {ir::Value::Int(10000 + w * 100000 + i),
-                            ir::Value::Str(svc.interner().Intern("Noise"))})
+            svc.ApplyBatch({InsertRow(svc, "F", 10000 + w * 100000 + i,
+                                      "Noise")})
                 .ok());
         ++i;
         std::this_thread::yield();
@@ -651,17 +660,15 @@ TEST(SharedSnapshotTest, ConcurrentWritersAndSubmittersStayConsistent) {
       for (int i = 0; i < kRounds; ++i) {
         std::string dest = "City" + std::to_string(c) + "_" +
                            std::to_string(i);
-        ASSERT_TRUE(svc.ApplyWrite(
-                           "F", {ir::Value::Int(20000 + c * 1000 + i),
-                                 ir::Value::Str(
-                                     svc.interner().Intern(dest))})
-                        .ok());
+        ASSERT_TRUE(
+            svc.ApplyBatch({InsertRow(svc, "F", 20000 + c * 1000 + i, dest)})
+                .ok());
         std::string rel =
             "W" + std::to_string(c) + "_" + std::to_string(i);
-        auto a = svc.SubmitAsync("{" + rel + "(B, x)} " + rel +
-                                 "(A, x) :- F(x, " + dest + ")");
-        auto b = svc.SubmitAsync("{" + rel + "(A, y)} " + rel +
-                                 "(B, y) :- F(y, " + dest + ")");
+        auto a = svc.Submit(Query::Ir("{" + rel + "(B, x)} " + rel +
+                                      "(A, x) :- F(x, " + dest + ")"));
+        auto b = svc.Submit(Query::Ir("{" + rel + "(A, y)} " + rel +
+                                      "(B, y) :- F(y, " + dest + ")"));
         ASSERT_TRUE(a.ok() && b.ok());
         per_client[c].push_back(*a);
         per_client[c].push_back(*b);
@@ -710,20 +717,17 @@ ServiceMetrics WaitForWakeupSatisfied(CoordinationService& svc, uint64_t n) {
 
 TEST(ReactiveWakeupTest, WriteAloneAnswersPendingPairIncremental) {
   // The acceptance scenario: a matched pair pending on data that does not
-  // exist yet is answered by ApplyWrite ALONE — no Submit, no flush, no
+  // exist yet is answered by the write ALONE — no Submit, no flush, no
   // tick after the write.
   CoordinationService svc(Opts(2, EvalMode::kIncremental));
-  auto a = svc.SubmitAsync("{R(J, x)} R(K, x) :- F(x, Vienna)");
-  auto b = svc.SubmitAsync("{R(K, y)} R(J, y) :- F(y, Vienna)");
+  auto a = svc.Submit(Query::Ir("{R(J, x)} R(K, x) :- F(x, Vienna)"));
+  auto b = svc.Submit(Query::Ir("{R(K, y)} R(J, y) :- F(y, Vienna)"));
   ASSERT_TRUE(a.ok() && b.ok());
   WaitForPending(svc, 2);
   EXPECT_FALSE(a->Done());
   EXPECT_FALSE(b->Done());
 
-  ASSERT_TRUE(svc.ApplyWrite("F", {ir::Value::Int(800),
-                                   ir::Value::Str(
-                                       svc.interner().Intern("Vienna"))})
-                  .ok());
+  ASSERT_TRUE(svc.ApplyBatch({InsertRow(svc, "F", 800, "Vienna")}).ok());
   // Nothing else: the WriteNotify wake-up is the only possible resolver.
   ASSERT_TRUE(a->WaitFor(std::chrono::milliseconds(10000)));
   ASSERT_TRUE(b->WaitFor(std::chrono::milliseconds(10000)));
@@ -746,15 +750,12 @@ TEST(ReactiveWakeupTest, WriteWakesSetAtATimePairBeforeAnyFlush) {
   // coordinable — the write is the third wake-up source next to arrivals
   // and ticks. No ticks and no Drain anywhere in this test.
   CoordinationService svc(Opts(2));  // kSetAtATime, no ticker
-  auto a = svc.SubmitAsync("{R(J, x)} R(K, x) :- F(x, Lisbon)");
-  auto b = svc.SubmitAsync("{R(K, y)} R(J, y) :- F(y, Lisbon)");
+  auto a = svc.Submit(Query::Ir("{R(J, x)} R(K, x) :- F(x, Lisbon)"));
+  auto b = svc.Submit(Query::Ir("{R(K, y)} R(J, y) :- F(y, Lisbon)"));
   ASSERT_TRUE(a.ok() && b.ok());
   WaitForPending(svc, 2);
 
-  ASSERT_TRUE(svc.ApplyWrite("F", {ir::Value::Int(900),
-                                   ir::Value::Str(
-                                       svc.interner().Intern("Lisbon"))})
-                  .ok());
+  ASSERT_TRUE(svc.ApplyBatch({InsertRow(svc, "F", 900, "Lisbon")}).ok());
   ASSERT_TRUE(a->WaitFor(std::chrono::milliseconds(10000)));
   ASSERT_TRUE(b->WaitFor(std::chrono::milliseconds(10000)));
   EXPECT_EQ(a->outcome().state, ServiceOutcome::State::kAnswered);
@@ -769,52 +770,24 @@ TEST(ReactiveWakeupTest, UnrelatedWritesDoNotWakeAnyone) {
   // The pending pair reads F only; writes to A must not generate
   // WriteNotify traffic (the index is per-relation, not a broadcast).
   CoordinationService svc(Opts(2, EvalMode::kIncremental));
-  auto a = svc.SubmitAsync("{R(J, x)} R(K, x) :- F(x, Quito)");
-  auto b = svc.SubmitAsync("{R(K, y)} R(J, y) :- F(y, Quito)");
+  auto a = svc.Submit(Query::Ir("{R(J, x)} R(K, x) :- F(x, Quito)"));
+  auto b = svc.Submit(Query::Ir("{R(K, y)} R(J, y) :- F(y, Quito)"));
   ASSERT_TRUE(a.ok() && b.ok());
   WaitForPending(svc, 2);
 
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(svc.ApplyWrite("A", {ir::Value::Int(7000 + i),
-                                     ir::Value::Str(
-                                         svc.interner().Intern("NoAir"))})
-                    .ok());
+    ASSERT_TRUE(svc.ApplyBatch({InsertRow(svc, "A", 7000 + i, "NoAir")}).ok());
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   EXPECT_EQ(svc.Metrics().write_wakeups, 0u);
   EXPECT_FALSE(a->Done());
 
   // The relevant write still works after the noise.
-  ASSERT_TRUE(svc.ApplyWrite("F", {ir::Value::Int(801),
-                                   ir::Value::Str(
-                                       svc.interner().Intern("Quito"))})
-                  .ok());
+  ASSERT_TRUE(svc.ApplyBatch({InsertRow(svc, "F", 801, "Quito")}).ok());
   ASSERT_TRUE(a->WaitFor(std::chrono::milliseconds(10000)));
   ASSERT_TRUE(b->WaitFor(std::chrono::milliseconds(10000)));
   EXPECT_EQ(a->outcome().state, ServiceOutcome::State::kAnswered);
   EXPECT_GE(svc.Metrics().write_wakeups, 1u);
-}
-
-TEST(ReactiveWakeupTest, WakeupsDisabledRestoresFlushBoundVisibility) {
-  // The A/B knob behind the reactive bench: with write_wakeups off, the
-  // same scenario stays pending until an explicit flush boundary.
-  ServiceOptions o = Opts(2);
-  o.write_wakeups = false;
-  CoordinationService svc(o);
-  auto a = svc.SubmitAsync("{R(J, x)} R(K, x) :- F(x, Havana)");
-  auto b = svc.SubmitAsync("{R(K, y)} R(J, y) :- F(y, Havana)");
-  ASSERT_TRUE(a.ok() && b.ok());
-  WaitForPending(svc, 2);
-  ASSERT_TRUE(svc.ApplyWrite("F", {ir::Value::Int(802),
-                                   ir::Value::Str(
-                                       svc.interner().Intern("Havana"))})
-                  .ok());
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(a->Done());  // the write woke nothing
-  EXPECT_EQ(svc.Metrics().write_wakeups, 0u);
-  ASSERT_TRUE(svc.Drain());  // the old path: visible at the next flush
-  EXPECT_EQ(a->outcome().state, ServiceOutcome::State::kAnswered);
-  EXPECT_EQ(b->outcome().state, ServiceOutcome::State::kAnswered);
 }
 
 TEST(ReactiveWakeupTest, DeleteInvalidatesPreviouslyMatchableBody) {
@@ -823,16 +796,17 @@ TEST(ReactiveWakeupTest, DeleteInvalidatesPreviouslyMatchableBody) {
   // re-evaluates against the fresh snapshot (no data -> stays pending),
   // and the eventual flush must NOT resurrect the deleted row.
   CoordinationService svc(Opts(2));
-  auto a = svc.SubmitAsync("{R(J, x)} R(K, x) :- F(x, Rome)");
-  auto b = svc.SubmitAsync("{R(K, y)} R(J, y) :- F(y, Rome)");
+  auto a = svc.Submit(Query::Ir("{R(J, x)} R(K, x) :- F(x, Rome)"));
+  auto b = svc.Submit(Query::Ir("{R(K, y)} R(J, y) :- F(y, Rome)"));
   ASSERT_TRUE(a.ok() && b.ok());
   WaitForPending(svc, 2);
 
   size_t removed = 0;
-  ASSERT_TRUE(svc.ApplyDelete("F", 1,
-                              ir::Value::Str(svc.interner().Intern("Rome")),
-                              &removed)
-                  .ok());
+  ir::Value rome = ir::Value::Str(svc.interner().Intern("Rome"));
+  ASSERT_TRUE(
+      svc.ApplyBatch({TableWrite::Delete("F", db::Predicate::Eq(1, rome))},
+                     &removed)
+          .ok());
   EXPECT_EQ(removed, 1u);
   ASSERT_TRUE(svc.Drain());
   EXPECT_EQ(a->outcome().state, ServiceOutcome::State::kFailed);
@@ -842,20 +816,20 @@ TEST(ReactiveWakeupTest, DeleteInvalidatesPreviouslyMatchableBody) {
 }
 
 TEST(ReactiveWakeupTest, UpdateRedirectsPendingCoordination) {
-  // An update (full-row replacement) both retracts and asserts: the pair
-  // waits on Sydney, and rerouting an existing flight there satisfies it.
+  // An update both retracts and asserts: the pair waits on Sydney, and
+  // rerouting an existing flight there satisfies it.
   CoordinationService svc(Opts(2, EvalMode::kIncremental));
-  auto a = svc.SubmitAsync("{R(J, x)} R(K, x) :- F(x, Sydney)");
-  auto b = svc.SubmitAsync("{R(K, y)} R(J, y) :- F(y, Sydney)");
+  auto a = svc.Submit(Query::Ir("{R(J, x)} R(K, x) :- F(x, Sydney)"));
+  auto b = svc.Submit(Query::Ir("{R(K, y)} R(J, y) :- F(y, Sydney)"));
   ASSERT_TRUE(a.ok() && b.ok());
   WaitForPending(svc, 2);
 
   size_t updated = 0;
-  ASSERT_TRUE(svc.ApplyUpdate("F", 0, ir::Value::Int(136),
-                              {ir::Value::Int(136),
-                               ir::Value::Str(
-                                   svc.interner().Intern("Sydney"))},
-                              &updated)
+  ir::Value sydney = ir::Value::Str(svc.interner().Intern("Sydney"));
+  ASSERT_TRUE(svc.ApplyBatch({TableWrite::Update(
+                                 "F", db::Predicate::Eq(0, ir::Value::Int(136)),
+                                 {{1, sydney}})},
+                             &updated)
                   .ok());
   EXPECT_EQ(updated, 1u);
   ASSERT_TRUE(a->WaitFor(std::chrono::milliseconds(10000)));
@@ -872,8 +846,8 @@ TEST(SqlWriteTest, UpdateStatementWakesPendingEntangledPair) {
   // storage predicate matching → write-triggered wake-up, no flush, no
   // tick, no further submission.
   CoordinationService svc(Opts(2, EvalMode::kIncremental));
-  auto a = svc.SubmitAsync("{R(J, x)} R(K, x) :- F(x, Osaka)");
-  auto b = svc.SubmitAsync("{R(K, y)} R(J, y) :- F(y, Osaka)");
+  auto a = svc.Submit(Query::Ir("{R(J, x)} R(K, x) :- F(x, Osaka)"));
+  auto b = svc.Submit(Query::Ir("{R(K, y)} R(J, y) :- F(y, Osaka)"));
   ASSERT_TRUE(a.ok() && b.ok());
   WaitForPending(svc, 2);
   EXPECT_FALSE(a->Done());
@@ -920,8 +894,8 @@ TEST(SqlWriteTest, DeleteStatementKeepsWokenSnapshotFresh) {
   // matchable at submission, a declarative DELETE retracts the row before
   // any evaluation, and the eventual flush must not resurrect it.
   CoordinationService svc(Opts(2));
-  auto a = svc.SubmitAsync("{R(J, x)} R(K, x) :- F(x, Rome)");
-  auto b = svc.SubmitAsync("{R(K, y)} R(J, y) :- F(y, Rome)");
+  auto a = svc.Submit(Query::Ir("{R(J, x)} R(K, x) :- F(x, Rome)"));
+  auto b = svc.Submit(Query::Ir("{R(K, y)} R(J, y) :- F(y, Rome)"));
   ASSERT_TRUE(a.ok() && b.ok());
   WaitForPending(svc, 2);
 
@@ -978,16 +952,15 @@ TEST(ReactiveWakeupTest, WriteBurstCoalescesNotifiesDeterministically) {
   };
   CoordinationService svc(o);
 
-  auto a = svc.SubmitAsync("{R(J, x)} R(K, x) :- F(x, Nowhere)");
-  auto b = svc.SubmitAsync("{R(K, y)} R(J, y) :- F(y, Nowhere)");
+  auto a = svc.Submit(Query::Ir("{R(J, x)} R(K, x) :- F(x, Nowhere)"));
+  auto b = svc.Submit(Query::Ir("{R(K, y)} R(J, y) :- F(y, Nowhere)"));
   ASSERT_TRUE(a.ok() && b.ok());
   WaitForPending(svc, 2);  // pair registered in the wake-up index
   arm.store(true, std::memory_order_release);
 
   auto write = [&](int i) {
     ASSERT_TRUE(
-        svc.ApplyWrite("F", {ir::Value::Int(90000 + i),
-                             ir::Value::Str(svc.interner().Intern("Burst"))})
+        svc.ApplyBatch({InsertRow(svc, "F", 90000 + i, "Burst")})
             .ok());
   };
   write(0);                     // wake-up #1 starts and parks on the gate
@@ -1023,9 +996,7 @@ TEST(ReactiveWakeupTest, ConcurrentWritersSubmittersDeletersStayConsistent) {
     int i = 0;
     while (!stop.load(std::memory_order_relaxed)) {
       ASSERT_TRUE(
-          svc.ApplyWrite("F", {ir::Value::Int(50000 + i),
-                               ir::Value::Str(
-                                   svc.interner().Intern("Noise"))})
+          svc.ApplyBatch({InsertRow(svc, "F", 50000 + i, "Noise")})
               .ok());
       ++i;
       std::this_thread::yield();
@@ -1035,7 +1006,9 @@ TEST(ReactiveWakeupTest, ConcurrentWritersSubmittersDeletersStayConsistent) {
   std::thread deleter([&svc, &stop] {
     ir::Value noise = ir::Value::Str(svc.interner().Intern("Noise"));
     while (!stop.load(std::memory_order_relaxed)) {
-      ASSERT_TRUE(svc.ApplyDelete("F", 1, noise).ok());
+      ASSERT_TRUE(
+          svc.ApplyBatch({TableWrite::Delete("F", db::Predicate::Eq(1, noise))})
+              .ok());
       std::this_thread::yield();
     }
   });
@@ -1045,9 +1018,10 @@ TEST(ReactiveWakeupTest, ConcurrentWritersSubmittersDeletersStayConsistent) {
     while (!stop.load(std::memory_order_relaxed)) {
       const char* dest = (flip++ % 2) ? "Rome" : "Milan";
       ASSERT_TRUE(
-          svc.ApplyUpdate("F", 0, ir::Value::Int(136),
-                          {ir::Value::Int(136),
-                           ir::Value::Str(svc.interner().Intern(dest))})
+          svc.ApplyBatch({TableWrite::Update(
+                             "F", db::Predicate::Eq(0, ir::Value::Int(136)),
+                             {{1, ir::Value::Str(
+                                      svc.interner().Intern(dest))}})})
               .ok());
       std::this_thread::yield();
     }
@@ -1065,16 +1039,14 @@ TEST(ReactiveWakeupTest, ConcurrentWritersSubmittersDeletersStayConsistent) {
         // Submit FIRST, write SECOND: the pair can only answer once its
         // row lands, so answering proves a write-path wake-up (or the
         // per-submit refresh) delivered it.
-        auto a = svc.SubmitAsync("{" + rel + "(B, x)} " + rel +
-                                 "(A, x) :- F(x, " + dest + ")");
-        auto b = svc.SubmitAsync("{" + rel + "(A, y)} " + rel +
-                                 "(B, y) :- F(y, " + dest + ")");
+        auto a = svc.Submit(Query::Ir("{" + rel + "(B, x)} " + rel +
+                                      "(A, x) :- F(x, " + dest + ")"));
+        auto b = svc.Submit(Query::Ir("{" + rel + "(A, y)} " + rel +
+                                      "(B, y) :- F(y, " + dest + ")"));
         ASSERT_TRUE(a.ok() && b.ok());
-        ASSERT_TRUE(svc.ApplyWrite(
-                           "F", {ir::Value::Int(60000 + c * 1000 + i),
-                                 ir::Value::Str(
-                                     svc.interner().Intern(dest))})
-                        .ok());
+        ASSERT_TRUE(
+            svc.ApplyBatch({InsertRow(svc, "F", 60000 + c * 1000 + i, dest)})
+                .ok());
         per_client[c].push_back(*a);
         per_client[c].push_back(*b);
       }
@@ -1143,9 +1115,9 @@ TEST(RetryAfterHintTest, RejectionCarriesConcreteRetryAfter) {
   ASSERT_TRUE(svc.Cancel(*blocker).ok());
   entered.get_future().wait();
 
-  auto q1 = svc.SubmitAsync("{Rc(A, x)} Rc(B, x) :- F(x, Rome)");
+  auto q1 = svc.Submit(Query::Ir("{Rc(A, x)} Rc(B, x) :- F(x, Rome)"));
   ASSERT_TRUE(q1.ok()) << q1.status().ToString();
-  auto q2 = svc.SubmitAsync("{Rd(A, y)} Rd(B, y) :- F(y, Rome)");
+  auto q2 = svc.Submit(Query::Ir("{Rd(A, y)} Rd(B, y) :- F(y, Rome)"));
   ASSERT_FALSE(q2.ok());
   EXPECT_EQ(q2.status().code(), StatusCode::kResourceExhausted);
   // The hint is concrete: "retry after ~<N>ms", computed from the live

@@ -202,15 +202,21 @@ TEST_P(StorageModelTest, RandomOpsMatchReferenceModel) {
     if (roll < 35) {
       // ---- insert
       RefRow r{rand_name(), rand_int()};
-      ASSERT_TRUE(
-          storage.ApplyWrite("M", {S(r.s), ir::Value::Int(r.n)}).ok());
+      ASSERT_TRUE(storage
+                      .ApplyBatch({Storage::TableWrite::Insert(
+                          "M", {S(r.s), ir::Value::Int(r.n)})})
+                      .ok());
       ref.push_back(std::move(r));
     } else if (roll < 50) {
       // ---- predicate delete
       auto terms = rand_terms(2);
       size_t want = ref_count(terms);
       size_t removed = 0;
-      ASSERT_TRUE(storage.ApplyDelete("M", to_pred(terms), &removed).ok());
+      ASSERT_TRUE(
+          storage
+              .ApplyBatch({Storage::TableWrite::Delete("M", to_pred(terms))},
+                          &removed)
+              .ok());
       ASSERT_EQ(removed, want);
       ref.erase(std::remove_if(
                     ref.begin(), ref.end(),
@@ -228,8 +234,11 @@ TEST_P(StorageModelTest, RandomOpsMatchReferenceModel) {
         sets.push_back({1, ir::Value::Int(assign.n)});
       }
       size_t updated = 0;
-      ASSERT_TRUE(
-          storage.ApplyUpdate("M", to_pred(terms), sets, &updated).ok());
+      ASSERT_TRUE(storage
+                      .ApplyBatch({Storage::TableWrite::Update(
+                                      "M", to_pred(terms), sets)},
+                                  &updated)
+                      .ok());
       ASSERT_EQ(updated, want);
       for (RefRow& r : ref) {
         if (!RefMatches(r, terms)) continue;

@@ -25,6 +25,13 @@ namespace {
 
 Row IntRow(int64_t a) { return Row{ir::Value::Int(a)}; }
 
+/// A one-row Flights insert, for Storage::ApplyBatch.
+Storage::TableWrite InsertFlight(StringInterner& interner, int64_t fno,
+                                 const char* dest) {
+  return Storage::TableWrite::Insert(
+      "Flights", {ir::Value::Int(fno), ir::Value::Str(interner.Intern(dest))});
+}
+
 /// Flights(fno INT, dest STRING) with three Paris rows, plus an untouched
 /// Airlines table to observe copy granularity.
 void FillFlights(ir::QueryContext* ctx, Database* db) {
@@ -97,7 +104,7 @@ TEST(TableCowTest, DeleteWhereRemovesRowsAndRebuildsIndexes) {
   ASSERT_TRUE(t.BuildIndex(1).ok());
 
   size_t removed = 0;
-  ASSERT_TRUE(t.DeleteWhere(1, paris, &removed).ok());
+  ASSERT_TRUE(t.DeleteWhere(Predicate::Eq(1, paris), &removed).ok());
   EXPECT_EQ(removed, 2u);
   EXPECT_EQ(t.row_count(), 1u);
   // Deletion shifts row ids: the surviving Rome row must be reachable
@@ -116,18 +123,18 @@ TEST(TableCowTest, DeleteWhereIsCowAndNoMatchSkipsTheClone) {
   ASSERT_TRUE(t.Insert({paris}).ok());
   std::shared_ptr<const TableVersion> reader = t.version();
   // Matching nothing must not clone (pointer identity is load-bearing).
-  ASSERT_TRUE(t.DeleteWhere(0, ctx.StrValue("Oslo")).ok());
+  ASSERT_TRUE(t.DeleteWhere(Predicate::Eq(0, ctx.StrValue("Oslo"))).ok());
   EXPECT_EQ(t.version().get(), reader.get());
   // A real delete clones; the published reader keeps its row.
   size_t removed = 0;
-  ASSERT_TRUE(t.DeleteWhere(0, paris, &removed).ok());
+  ASSERT_TRUE(t.DeleteWhere(Predicate::Eq(0, paris), &removed).ok());
   EXPECT_EQ(removed, 1u);
   EXPECT_NE(t.version().get(), reader.get());
   EXPECT_EQ(t.row_count(), 0u);
   EXPECT_EQ(reader->row_count(), 1u);
 }
 
-TEST(TableCowTest, UpdateWhereReplacesWholeRowsAndChecksTheReplacement) {
+TEST(TableCowTest, UpdateWhereSetsEveryColumnAndChecksTheSets) {
   ir::QueryContext ctx;
   Table t({{"fno", ir::ValueType::kInt}, {"dest", ir::ValueType::kString}});
   ir::Value paris = ctx.StrValue("Paris");
@@ -137,17 +144,18 @@ TEST(TableCowTest, UpdateWhereReplacesWholeRowsAndChecksTheReplacement) {
   ASSERT_TRUE(t.BuildIndex(1).ok());
   std::shared_ptr<const TableVersion> reader = t.version();
 
-  // A replacement that fails the schema check must not clone or mutate.
-  Status bad = t.UpdateWhere(1, paris, {ir::Value::Int(9), ir::Value::Int(9)});
+  // A SET that fails the schema check must not clone or mutate.
+  Status bad = t.UpdateWhere(Predicate::Eq(1, paris), {{1, ir::Value::Int(9)}});
   EXPECT_EQ(bad.code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(t.version().get(), reader.get());
 
   size_t updated = 0;
-  ASSERT_TRUE(
-      t.UpdateWhere(1, paris, {ir::Value::Int(7), oslo}, &updated).ok());
+  ASSERT_TRUE(t.UpdateWhere(Predicate::Eq(1, paris),
+                            {{0, ir::Value::Int(7)}, {1, oslo}}, &updated)
+                  .ok());
   EXPECT_EQ(updated, 2u);
   EXPECT_NE(t.version().get(), reader.get());
-  // Full-row replacement, index rebuilt: both rows now Oslo / fno 7.
+  // Every column set, postings patched: both rows now Oslo / fno 7.
   EXPECT_EQ(t.Probe(1, paris)->size(), 0u);
   EXPECT_EQ(t.Probe(1, oslo)->size(), 2u);
   // The published reader still sees the pre-update rows (CoW isolation).
@@ -363,10 +371,11 @@ TEST(StorageTest, PredicateNoMatchPublishesNothing) {
   // data).
   size_t removed = 99;
   ASSERT_TRUE(storage
-                  .ApplyDelete("Flights",
-                               Predicate{}.And(0, ir::CompareOp::kGt,
-                                               ir::Value::Int(1000)),
-                               &removed)
+                  .ApplyBatch({Storage::TableWrite::Delete(
+                                  "Flights",
+                                  Predicate{}.And(0, ir::CompareOp::kGt,
+                                                  ir::Value::Int(1000)))},
+                              &removed)
                   .ok());
   EXPECT_EQ(removed, 0u);
   EXPECT_EQ(storage.version(), 1u);
@@ -374,11 +383,12 @@ TEST(StorageTest, PredicateNoMatchPublishesNothing) {
 
   size_t updated = 99;
   ASSERT_TRUE(storage
-                  .ApplyUpdate("Flights",
-                               Predicate{}.And(0, ir::CompareOp::kLt,
-                                               ir::Value::Int(0)),
-                               {{1, ir::Value::Str(interner->Intern("X"))}},
-                               &updated)
+                  .ApplyBatch({Storage::TableWrite::Update(
+                                  "Flights",
+                                  Predicate{}.And(0, ir::CompareOp::kLt,
+                                                  ir::Value::Int(0)),
+                                  {{1, ctx.StrValue("X")}})},
+                              &updated)
                   .ok());
   EXPECT_EQ(updated, 0u);
   EXPECT_EQ(storage.version(), 1u);
@@ -387,10 +397,11 @@ TEST(StorageTest, PredicateNoMatchPublishesNothing) {
   // A matching range delete does publish, and CoW isolates v1 readers.
   Snapshot v1 = storage.Current();
   ASSERT_TRUE(storage
-                  .ApplyDelete("Flights",
-                               Predicate{}.And(0, ir::CompareOp::kLe,
-                                               ir::Value::Int(122)),
-                               &removed)
+                  .ApplyBatch({Storage::TableWrite::Delete(
+                                  "Flights",
+                                  Predicate{}.And(0, ir::CompareOp::kLe,
+                                                  ir::Value::Int(122)))},
+                              &removed)
                   .ok());
   EXPECT_EQ(removed, 1u);  // fno 122
   EXPECT_EQ(storage.version(), 2u);
@@ -484,9 +495,7 @@ TEST(StorageTest, PublishNumbersVersionsAndCurrentTracksLatest) {
   EXPECT_EQ(v1.version(), 1u);
   EXPECT_EQ(storage.version(), 1u);
   ASSERT_TRUE(storage
-                  .ApplyWrite("Flights", {ir::Value::Int(555),
-                                          ir::Value::Str(
-                                              interner->Intern("Rome"))})
+                  .ApplyBatch({InsertFlight(*interner, 555, "Rome")})
                   .ok());
   Snapshot v2 = storage.Current();
   EXPECT_EQ(v2.version(), 2u);
@@ -516,6 +525,33 @@ TEST(StorageTest, ApplyBatchPublishesOnceAndCopiesEachTableOnce) {
   EXPECT_EQ(v1.GetTable("Flights")->row_count(), 2u);
 }
 
+TEST(StorageTest, BatchUpdateWithoutSetClausesIsRejected) {
+  // The one update form is UPDATE ... SET: a kUpdate carrying no SET
+  // clauses is invalid — it is not read as a full-row replacement, and
+  // the batch it rides in applies and publishes nothing.
+  auto interner = std::make_shared<StringInterner>();
+  ir::QueryContext ctx(interner);
+  Storage storage(interner);
+  FillFlights(&ctx, storage.mutable_db());
+  storage.Publish();
+  const TableVersion* before = storage.Current().GetTable("Flights");
+
+  std::vector<Storage::TableWrite> writes;
+  writes.push_back(InsertFlight(*interner, 900, "Oslo"));
+  Storage::TableWrite update;
+  update.table = "Flights";
+  update.kind = Storage::TableWrite::Kind::kUpdate;
+  update.pred = Predicate::Eq(0, ir::Value::Int(122));
+  update.row = {ir::Value::Int(122), ir::Value::Str(interner->Intern("Rome"))};
+  writes.push_back(std::move(update));
+  Status st = storage.ApplyBatch(writes);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("write #1"), std::string::npos)
+      << st.ToString();
+  EXPECT_EQ(storage.version(), 1u);
+  EXPECT_EQ(storage.Current().GetTable("Flights"), before);
+}
+
 TEST(StorageTest, ApplyBatchIsAtomicAndNamesTheBadWrite) {
   auto interner = std::make_shared<StringInterner>();
   ir::QueryContext ctx(interner);
@@ -543,21 +579,23 @@ TEST(StorageTest, FailedWriteReportsErrorAndPublishesNothingNew) {
   Storage storage(interner);
   FillFlights(&ctx, storage.mutable_db());
   storage.Publish();
-  Status st = storage.ApplyWrite("NoSuchTable", IntRow(1));
+  Status st = storage.ApplyBatch(
+      {Storage::TableWrite::Insert("NoSuchTable", IntRow(1))});
   EXPECT_EQ(st.code(), StatusCode::kNotFound);
   EXPECT_EQ(storage.version(), 1u);
   // Type mismatch: Flights(fno INT, dest STRING). Validation runs before
   // the CoW clone, so a rejected row must not replace the shared
   // TableVersion (pointer identity is load-bearing for readers).
   const TableVersion* before = storage.Current().GetTable("Flights");
-  st = storage.ApplyWrite("Flights", {ir::Value::Int(1), ir::Value::Int(2)});
+  st = storage.ApplyBatch({Storage::TableWrite::Insert(
+      "Flights", {ir::Value::Int(1), ir::Value::Int(2)})});
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(storage.version(), 1u);
   EXPECT_EQ(storage.mutable_db()->GetTable("Flights")->version().get(),
             before);
 }
 
-TEST(StorageTest, ApplyDeletePublishesAndOldSnapshotKeepsRows) {
+TEST(StorageTest, BatchDeletePublishesAndOldSnapshotKeepsRows) {
   auto interner = std::make_shared<StringInterner>();
   ir::QueryContext ctx(interner);
   Storage storage(interner);
@@ -565,10 +603,11 @@ TEST(StorageTest, ApplyDeletePublishesAndOldSnapshotKeepsRows) {
   Snapshot v1 = storage.Publish();
 
   size_t removed = 0;
+  ir::Value paris = ir::Value::Str(interner->Intern("Paris"));
   ASSERT_TRUE(storage
-                  .ApplyDelete("Flights", 1,
-                               ir::Value::Str(interner->Intern("Paris")),
-                               &removed)
+                  .ApplyBatch({Storage::TableWrite::Delete(
+                                  "Flights", Predicate::Eq(1, paris))},
+                              &removed)
                   .ok());
   EXPECT_EQ(removed, 2u);
   EXPECT_EQ(storage.version(), 2u);
@@ -581,18 +620,27 @@ TEST(StorageTest, ApplyDeletePublishesAndOldSnapshotKeepsRows) {
 
   // A delete matching nothing publishes no version (no spurious wake-ups).
   ASSERT_TRUE(storage
-                  .ApplyDelete("Flights", 0, ir::Value::Int(424242), &removed)
+                  .ApplyBatch({Storage::TableWrite::Delete(
+                                  "Flights",
+                                  Predicate::Eq(0, ir::Value::Int(424242)))},
+                              &removed)
                   .ok());
   EXPECT_EQ(removed, 0u);
   EXPECT_EQ(storage.version(), 2u);
   // Unknown table / bad column fail cleanly.
-  EXPECT_EQ(storage.ApplyDelete("Nope", 0, ir::Value::Int(1)).code(),
+  EXPECT_EQ(storage
+                .ApplyBatch({Storage::TableWrite::Delete(
+                    "Nope", Predicate::Eq(0, ir::Value::Int(1)))})
+                .code(),
             StatusCode::kNotFound);
-  EXPECT_EQ(storage.ApplyDelete("Flights", 9, ir::Value::Int(1)).code(),
+  EXPECT_EQ(storage
+                .ApplyBatch({Storage::TableWrite::Delete(
+                    "Flights", Predicate::Eq(9, ir::Value::Int(1)))})
+                .code(),
             StatusCode::kInvalidArgument);
 }
 
-TEST(StorageTest, ApplyUpdateIsAtomicFullRowReplacement) {
+TEST(StorageTest, BatchUpdateIsAtomicAndValidated) {
   auto interner = std::make_shared<StringInterner>();
   ir::QueryContext ctx(interner);
   Storage storage(interner);
@@ -601,24 +649,27 @@ TEST(StorageTest, ApplyUpdateIsAtomicFullRowReplacement) {
 
   // Reroute flight 122 to Rome: one matched row, one published version.
   size_t updated = 0;
+  ir::Value rome = ir::Value::Str(interner->Intern("Rome"));
   ASSERT_TRUE(storage
-                  .ApplyUpdate("Flights", 0, ir::Value::Int(122),
-                               {ir::Value::Int(122),
-                                ir::Value::Str(interner->Intern("Rome"))},
-                               &updated)
+                  .ApplyBatch({Storage::TableWrite::Update(
+                                  "Flights",
+                                  Predicate::Eq(0, ir::Value::Int(122)),
+                                  {{1, rome}})},
+                              &updated)
                   .ok());
   EXPECT_EQ(updated, 1u);
   EXPECT_EQ(storage.version(), 2u);
   const TableVersion* flights = storage.Current().GetTable("Flights");
-  EXPECT_EQ(flights->row_count(), 2u);  // replacement, not insert+delete
+  EXPECT_EQ(flights->row_count(), 2u);  // update, not insert
   // v1 still shows the Paris routing (update happened "in" a new version).
   EXPECT_EQ(v1.GetTable("Flights")->row(0)[1],
             ir::Value::Str(interner->Intern("Paris")));
 
-  // A schema-violating replacement applies nothing and publishes nothing.
+  // A schema-violating SET applies nothing and publishes nothing.
   EXPECT_EQ(storage
-                .ApplyUpdate("Flights", 0, ir::Value::Int(123),
-                             {ir::Value::Int(123), ir::Value::Int(9)})
+                .ApplyBatch({Storage::TableWrite::Update(
+                    "Flights", Predicate::Eq(0, ir::Value::Int(123)),
+                    {{1, ir::Value::Int(9)}})})
                 .code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(storage.version(), 2u);
@@ -637,9 +688,9 @@ TEST(StorageTest, MixedBatchAppliesInOrderAtomicallyOrNotAtAll) {
   batch.push_back(Storage::TableWrite::Insert(
       "Flights", {ir::Value::Int(500), S("Oslo")}));
   batch.push_back(Storage::TableWrite::Update(
-      "Flights", 0, ir::Value::Int(122), {ir::Value::Int(122), S("Oslo")}));
-  batch.push_back(
-      Storage::TableWrite::Delete("Flights", 0, ir::Value::Int(123)));
+      "Flights", Predicate::Eq(0, ir::Value::Int(122)), {{1, S("Oslo")}}));
+  batch.push_back(Storage::TableWrite::Delete(
+      "Flights", Predicate::Eq(0, ir::Value::Int(123))));
   ASSERT_TRUE(storage.ApplyBatch(batch).ok());
   EXPECT_EQ(storage.version(), 2u);
   EXPECT_EQ(storage.writes_applied(), 3u);
@@ -651,10 +702,10 @@ TEST(StorageTest, MixedBatchAppliesInOrderAtomicallyOrNotAtAll) {
   // Validation covers the new kinds: a bad match column anywhere in the
   // batch means NOTHING is applied (the earlier valid delete included).
   std::vector<Storage::TableWrite> bad;
-  bad.push_back(
-      Storage::TableWrite::Delete("Flights", 0, ir::Value::Int(500)));
+  bad.push_back(Storage::TableWrite::Delete(
+      "Flights", Predicate::Eq(0, ir::Value::Int(500))));
   bad.push_back(Storage::TableWrite::Update(
-      "Flights", 7, ir::Value::Int(1), {ir::Value::Int(1), S("X")}));
+      "Flights", Predicate::Eq(7, ir::Value::Int(1)), {{1, S("X")}}));
   Status st = storage.ApplyBatch(bad);
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(st.message().find("write #1"), std::string::npos)
@@ -669,7 +720,8 @@ TEST(StorageTest, MixedBatchAppliesInOrderAtomicallyOrNotAtAll) {
   size_t rows_changed = 99;
   ASSERT_TRUE(storage
                   .ApplyBatch({Storage::TableWrite::Delete(
-                                  "Flights", 0, ir::Value::Int(424242))},
+                                  "Flights",
+                                  Predicate::Eq(0, ir::Value::Int(424242)))},
                               &rows_changed)
                   .ok());
   EXPECT_EQ(rows_changed, 0u);
@@ -686,9 +738,7 @@ TEST(StorageTest, DroppingLastSnapshotReleasesOldVersion) {
   std::weak_ptr<const TableVersion> weak =
       storage.mutable_db()->GetTable("Flights")->version();
   ASSERT_TRUE(storage
-                  .ApplyWrite("Flights", {ir::Value::Int(700),
-                                          ir::Value::Str(
-                                              interner->Intern("Rome"))})
+                  .ApplyBatch({InsertFlight(*interner, 700, "Rome")})
                   .ok());
   // v1 still pins the old version.
   EXPECT_FALSE(weak.expired());
@@ -707,9 +757,7 @@ TEST(StorageGcTest, NoRegisteredReadersTrimEagerly) {
   EXPECT_EQ(storage.retained_versions(), 1u);
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(storage
-                    .ApplyWrite("Flights",
-                                {ir::Value::Int(200 + i),
-                                 ir::Value::Str(interner->Intern("Rome"))})
+                    .ApplyBatch({InsertFlight(*interner, 200 + i, "Rome")})
                     .ok());
   }
   // No readers registered: the watermark is the head, so every superseded
@@ -731,9 +779,7 @@ TEST(StorageGcTest, LaggingReaderPinsHistoryUntilItReports) {
   v1 = Snapshot();  // only the GC history pins the v1 tables now
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(storage
-                    .ApplyWrite("Flights",
-                                {ir::Value::Int(300 + i),
-                                 ir::Value::Str(interner->Intern("Oslo"))})
+                    .ApplyBatch({InsertFlight(*interner, 300 + i, "Oslo")})
                     .ok());
   }
   EXPECT_EQ(storage.retained_versions(), 4u);
@@ -764,9 +810,7 @@ TEST(StorageGcTest, UnregisteringALaggardReleasesItsPins) {
   std::weak_ptr<const TableVersion> weak =
       storage.mutable_db()->GetTable("Flights")->version();
   ASSERT_TRUE(storage
-                  .ApplyWrite("Flights", {ir::Value::Int(400),
-                                          ir::Value::Str(
-                                              interner->Intern("Rome"))})
+                  .ApplyBatch({InsertFlight(*interner, 400, "Rome")})
                   .ok());
   EXPECT_FALSE(weak.expired());
   storage.UnregisterReader(9);  // the laggard is gone: GC reruns
@@ -788,17 +832,13 @@ TEST(StorageGcTest, HeldSnapshotPinsExactlyItsOwnVersion) {
       storage.mutable_db()->GetTable("Flights")->version();
   v1 = Snapshot();
   ASSERT_TRUE(storage
-                  .ApplyWrite("Flights", {ir::Value::Int(500),
-                                          ir::Value::Str(
-                                              interner->Intern("Rome"))})
+                  .ApplyBatch({InsertFlight(*interner, 500, "Rome")})
                   .ok());
   Snapshot held = storage.Current();
   std::weak_ptr<const TableVersion> w2 =
       storage.mutable_db()->GetTable("Flights")->version();
   ASSERT_TRUE(storage
-                  .ApplyWrite("Flights", {ir::Value::Int(501),
-                                          ir::Value::Str(
-                                              interner->Intern("Oslo"))})
+                  .ApplyBatch({InsertFlight(*interner, 501, "Oslo")})
                   .ok());
   // GC already trimmed history to the head (no registered readers), yet
   // the held snapshot keeps ITS version alive — and only its.
@@ -822,7 +862,7 @@ TEST(StorageGcTest, TombstonedRowsInvisibleToNewSnapshots) {
   size_t rows = 0;
   ASSERT_TRUE(storage
                   .ApplyBatch({Storage::TableWrite::Delete(
-                                  "T", 0, ir::Value::Int(3))},
+                                  "T", Predicate::Eq(0, ir::Value::Int(3)))},
                               &rows)
                   .ok());
   EXPECT_EQ(rows, 1u);
@@ -1000,9 +1040,7 @@ TEST(EngineSnapshotTest, MidRoundWriteInvisibleUntilAdopt) {
 
   // The write lands AFTER the engine captured v1: a brand-new destination.
   ASSERT_TRUE(storage
-                  .ApplyWrite("Flights", {ir::Value::Int(800),
-                                          ir::Value::Str(
-                                              interner->Intern("Vienna"))})
+                  .ApplyBatch({InsertFlight(*interner, 800, "Vienna")})
                   .ok());
 
   auto [qa, qb] = PairOver("Vienna");
