@@ -9,6 +9,7 @@
 #include "core/combiner.h"
 #include "core/matcher.h"
 #include "core/partitioner.h"
+#include "core/safety.h"
 #include "core/unifiability_graph.h"
 #include "engine/engine.h"
 #include "ir/parser.h"

@@ -1,6 +1,8 @@
 #include "client/query.h"
 
 #include <algorithm>
+#include <optional>
+#include <string_view>
 #include <unordered_map>
 
 namespace eq::client {
@@ -40,25 +42,142 @@ Result<ir::EntangledQuery> PortableQuery::Instantiate(
     return ir::Term::Var(it->second);
   };
   auto convert = [&](const std::vector<PortableAtom>& in,
-                     std::vector<ir::Atom>* atoms, bool declare_answer) {
+                     std::vector<ir::Atom>* atoms,
+                     bool declare_answer) -> Status {
     for (const PortableAtom& a : in) {
       SymbolId rel = ctx->Intern(a.relation);
-      if (declare_answer) ctx->DeclareAnswerRelation(rel);
+      if (declare_answer) EQ_RETURN_NOT_OK(ctx->DeclareAnswerRelation(rel));
       std::vector<ir::Term> args;
       args.reserve(a.args.size());
       for (const PortableTerm& t : a.args) args.push_back(term(t));
       atoms->push_back(ir::Atom(rel, std::move(args)));
     }
+    return Status::OK();
   };
-  convert(postconditions, &out.postconditions, /*declare_answer=*/true);
-  convert(head, &out.head, /*declare_answer=*/true);
-  convert(body, &out.body, /*declare_answer=*/false);
+  EQ_RETURN_NOT_OK(
+      convert(postconditions, &out.postconditions, /*declare_answer=*/true));
+  EQ_RETURN_NOT_OK(convert(head, &out.head, /*declare_answer=*/true));
+  EQ_RETURN_NOT_OK(convert(body, &out.body, /*declare_answer=*/false));
   for (const PortableFilter& f : filters) {
     out.filters.push_back(ir::Filter{term(f.lhs), f.op, term(f.rhs)});
   }
 
   EQ_RETURN_NOT_OK(ir::ValidateQuery(out, ctx));
   return out;
+}
+
+namespace {
+
+/// What validation knows about one relation: the catalog's declarations
+/// plus the program's own (its heads and postconditions declare ANSWER,
+/// its first use of a relation fixes the arity).
+struct RelationFacts {
+  std::string_view name;
+  bool answer = false;
+  bool database = false;
+  std::optional<size_t> arity;
+};
+
+}  // namespace
+
+Status PortableQuery::Validate(const ir::QueryContext& catalog) const {
+  // The checks run in the order Instantiate + ir::ValidateQuery run them,
+  // so the first failure (and its message) is the same.
+  std::vector<RelationFacts> rels;
+  rels.reserve(postconditions.size() + head.size() + body.size());
+  auto facts = [&](const std::string& name) -> RelationFacts& {
+    for (RelationFacts& r : rels) {
+      if (r.name == name) return r;
+    }
+    RelationFacts& r = rels.emplace_back();  // no reallocation: reserved
+    r.name = name;
+    // Lookup, not Intern: a name the interner has never seen is unknown to
+    // the catalog too.
+    SymbolId sym = catalog.interner().Lookup(name);
+    if (sym != kInvalidSymbol) {
+      r.answer = catalog.IsAnswerRelation(sym);
+      r.database = catalog.IsDatabaseRelation(sym);
+      r.arity = catalog.ArityOf(sym);
+    }
+    return r;
+  };
+  auto note_arity = [&](RelationFacts& r, size_t arity) -> Status {
+    if (!r.arity.has_value()) {
+      r.arity = arity;
+    } else if (*r.arity != arity) {
+      return Status::InvalidArgument(
+          "relation '" + std::string(r.name) + "' used with arity " +
+          std::to_string(arity) + " but declared " + std::to_string(*r.arity));
+    }
+    return Status::OK();
+  };
+
+  // Instantiate: head and postcondition relations become ANSWER relations.
+  for (const auto* atoms : {&postconditions, &head}) {
+    for (const PortableAtom& a : *atoms) {
+      RelationFacts& r = facts(a.relation);
+      if (r.database) return ir::DatabaseRelationAsAnswer(a.relation);
+      r.answer = true;
+    }
+  }
+
+  // ir::ValidateQuery.
+  if (head.empty()) {
+    return Status::InvalidArgument("query '" + label +
+                                   "': head must contain at least one atom");
+  }
+  if (choose_k < 1) {
+    return Status::InvalidArgument("query '" + label +
+                                   "': CHOOSE k requires k >= 1");
+  }
+  for (const auto* atoms : {&head, &postconditions}) {
+    for (const PortableAtom& a : *atoms) {
+      EQ_RETURN_NOT_OK(note_arity(facts(a.relation), a.args.size()));
+    }
+  }
+  for (const PortableAtom& a : body) {
+    RelationFacts& r = facts(a.relation);
+    if (r.answer) {
+      return Status::InvalidArgument("query '" + label +
+                                     "': ANSWER relation '" + a.relation +
+                                     "' cannot appear in the body");
+    }
+    EQ_RETURN_NOT_OK(note_arity(r, a.args.size()));
+  }
+
+  // Range restriction. Variables are identified by name, as in Instantiate.
+  std::vector<std::string_view> body_vars;
+  for (const PortableAtom& a : body) {
+    for (const PortableTerm& t : a.args) {
+      if (t.kind == PortableTerm::Kind::kVar) body_vars.push_back(t.text);
+    }
+  }
+  auto bound = [&](const PortableTerm& t) {
+    return t.kind != PortableTerm::Kind::kVar ||
+           std::find(body_vars.begin(), body_vars.end(), t.text) !=
+               body_vars.end();
+  };
+  for (const auto* atoms : {&head, &postconditions}) {
+    for (const PortableAtom& a : *atoms) {
+      for (const PortableTerm& t : a.args) {
+        if (!bound(t)) {
+          return Status::InvalidArgument(
+              "query '" + label + "': variable '" + t.text +
+              "' in head/postcondition is not range-restricted by the body");
+        }
+      }
+    }
+  }
+  for (const PortableFilter& f : filters) {
+    for (const PortableTerm* t : {&f.lhs, &f.rhs}) {
+      if (!bound(*t)) {
+        return Status::InvalidArgument("query '" + label +
+                                       "': filter variable '" + t->text +
+                                       "' is not bound by the body");
+      }
+    }
+  }
+  return Status::OK();
 }
 
 std::vector<std::string> PortableQuery::EntangledRelations() const {

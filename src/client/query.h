@@ -104,6 +104,13 @@ struct PortableQuery {
   /// relations are declared as ANSWER relations.
   Result<ir::EntangledQuery> Instantiate(ir::QueryContext* ctx) const;
 
+  /// Read-only validation against `catalog`: the status (code and message)
+  /// that Instantiate would return on a fresh context seeded from
+  /// `catalog` (QueryContext::AdoptMetaFrom), computed without interning a
+  /// symbol, allocating a variable or declaring a relation. The service
+  /// edge validates builder programs this way; shards instantiate them.
+  Status Validate(const ir::QueryContext& catalog) const;
+
   /// The entangled (ANSWER) relation names: head + postconditions, sorted
   /// and deduplicated — the routing fingerprint.
   std::vector<std::string> EntangledRelations() const;

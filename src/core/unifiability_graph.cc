@@ -77,24 +77,95 @@ void UnifiabilityGraph::AddEdge(QueryId from, uint32_t head_idx, QueryId to,
 }
 
 Status UnifiabilityGraph::AddQuery(QueryId q) {
+  return Add(q, /*check_safety=*/false);
+}
+
+Status UnifiabilityGraph::Admit(QueryId q) {
+  return Add(q, /*check_safety=*/true);
+}
+
+Status UnifiabilityGraph::Add(QueryId q, bool check_safety) {
   if (q >= queries_->queries.size()) {
     return Status::InvalidArgument("query id " + std::to_string(q) +
                                    " out of range");
   }
   // The query set may have grown since construction (incremental mode).
   if (q >= nodes_.size()) nodes_.resize(queries_->queries.size());
-  Node& node = nodes_[q];
-  if (node.alive) {
+  if (nodes_[q].alive) {
     return Status::AlreadyExists("query " + std::to_string(q) +
                                  " already added");
   }
   const EntangledQuery& query = queries_->queries[q];
+  std::vector<AtomRef>& cands = cands_;
+  std::vector<NewEdge>& found = new_edges_;
+  found.clear();  // scratch: may still hold the edges of the last call
+
+  // Direction 1: this query's postconditions against live heads, plus its
+  // own heads when self-edges are enabled.
+  for (uint32_t j = 0; j < query.postconditions.size(); ++j) {
+    const Atom& p = query.postconditions[j];
+    cands.clear();
+    HeadCandidates(p, &cands);
+    // q is not indexed yet, so a hit on q is left over from a removal.
+    std::erase_if(cands, [&](const AtomRef& ref) {
+      return ref.query == q || !nodes_[ref.query].alive;
+    });
+    if (opts_.allow_self_edges) {
+      for (uint32_t i = 0; i < query.head.size(); ++i) {
+        cands.push_back(AtomRef{q, i});
+      }
+    }
+    uint32_t matches = 0;
+    for (const AtomRef& ref : cands) {
+      const Atom& h = queries_->queries[ref.query].head[ref.atom_idx];
+      Unifier u;
+      ++unification_attempts_;
+      if (!UnifyAtoms(h, p, &u)) continue;
+      if (check_safety && ++matches >= 2) {
+        return Status::Unsafe("postcondition " + std::to_string(j) +
+                              " of query " + std::to_string(q) +
+                              " would unify with two or more heads");
+      }
+      found.push_back(NewEdge{ref.query, ref.atom_idx, q, j, std::move(u)});
+    }
+  }
+
+  // Direction 2: this query's heads against live postconditions. Its own
+  // postconditions were covered by direction 1.
+  const size_t first_out = found.size();
+  for (uint32_t i = 0; i < query.head.size(); ++i) {
+    const Atom& h = query.head[i];
+    cands.clear();
+    PcCandidates(h, &cands);
+    for (const AtomRef& ref : cands) {
+      if (ref.query == q || !nodes_[ref.query].alive) continue;
+      const Atom& p = queries_->queries[ref.query].postconditions[ref.atom_idx];
+      Unifier u;
+      ++unification_attempts_;
+      if (!UnifyAtoms(h, p, &u)) continue;
+      if (check_safety) {
+        // The postcondition's one allowed match is taken, by a live head
+        // or by an earlier head of q.
+        bool taken = nodes_[ref.query].pc_match_count[ref.atom_idx] > 0;
+        for (size_t e = first_out; !taken && e < found.size(); ++e) {
+          taken = found[e].to == ref.query && found[e].pc_idx == ref.atom_idx;
+        }
+        if (taken) {
+          return Status::Unsafe("head of query " + std::to_string(q) +
+                                " would make postcondition " +
+                                std::to_string(ref.atom_idx) +
+                                " of admitted query " +
+                                std::to_string(ref.query) + " ambiguous");
+        }
+      }
+      found.push_back(NewEdge{q, i, ref.query, ref.atom_idx, std::move(u)});
+    }
+  }
+
+  Node& node = nodes_[q];
   node.alive = true;
   node.init_conflict = false;
   node.pc_match_count.assign(query.postconditions.size(), 0);
-
-  // Register this query's atoms first so self-edges (a query whose own head
-  // satisfies its own postcondition) are discovered by the lookups below.
   if (opts_.use_atom_index) {
     for (uint32_t i = 0; i < query.head.size(); ++i) {
       head_index_.Add(AtomRef{q, i}, query.head[i]);
@@ -103,41 +174,8 @@ Status UnifiabilityGraph::AddQuery(QueryId q) {
       pc_index_.Add(AtomRef{q, j}, query.postconditions[j]);
     }
   }
-
-  std::vector<AtomRef> cands;
-
-  // Direction 1: this query's postconditions against existing heads
-  // (including its own when self-edges are enabled).
-  for (uint32_t j = 0; j < query.postconditions.size(); ++j) {
-    const Atom& p = query.postconditions[j];
-    cands.clear();
-    HeadCandidates(p, &cands);
-    for (const AtomRef& ref : cands) {
-      if (ref.query == q && !opts_.allow_self_edges) continue;
-      if (!nodes_[ref.query].alive) continue;  // dead query: stale index hit
-      const Atom& h = queries_->queries[ref.query].head[ref.atom_idx];
-      Unifier u;
-      ++unification_attempts_;
-      if (!UnifyAtoms(h, p, &u)) continue;
-      AddEdge(ref.query, ref.atom_idx, q, j, u);
-    }
-  }
-
-  // Direction 2: this query's heads against existing postconditions.
-  // Skip our own postconditions — direction 1 already found those.
-  for (uint32_t i = 0; i < query.head.size(); ++i) {
-    const Atom& h = query.head[i];
-    cands.clear();
-    PcCandidates(h, &cands);
-    for (const AtomRef& ref : cands) {
-      if (ref.query == q) continue;
-      if (!nodes_[ref.query].alive) continue;
-      const Atom& p = queries_->queries[ref.query].postconditions[ref.atom_idx];
-      Unifier u;
-      ++unification_attempts_;
-      if (!UnifyAtoms(h, p, &u)) continue;
-      AddEdge(q, i, ref.query, ref.atom_idx, u);
-    }
+  for (const NewEdge& e : found) {
+    AddEdge(e.from, e.head_idx, e.to, e.pc_idx, e.unifier);
   }
   return Status::OK();
 }

@@ -80,6 +80,16 @@ class UnifiabilityGraph {
   /// match counts, and records safety violations.
   Status AddQuery(ir::QueryId q);
 
+  /// Adds one query only if the live set stays safe (§3.1.1). The edges q
+  /// would add are collected first; q is rejected with kUnsafe, leaving
+  /// the graph unchanged, when
+  ///   (a) a postcondition of q would unify with two or more live heads, or
+  ///   (b) a head of q would give a live postcondition a second match.
+  /// Otherwise q is added exactly as by AddQuery. This "reject the
+  /// newcomer" policy keeps resident queries stable; the same decisions
+  /// (and messages) as core::SafetyChecker::Admit over the live set.
+  Status Admit(ir::QueryId q);
+
   const ir::QuerySet& queries() const { return *queries_; }
   size_t node_count() const { return nodes_.size(); }
 
@@ -118,6 +128,20 @@ class UnifiabilityGraph {
   /// Candidate postcondition refs for a head probe.
   void PcCandidates(const ir::Atom& probe, std::vector<AtomRef>* out) const;
 
+  /// An edge found for a query that is not added yet.
+  struct NewEdge {
+    ir::QueryId from;
+    uint32_t head_idx;
+    ir::QueryId to;
+    uint32_t pc_idx;
+    unify::Unifier unifier;
+  };
+
+  /// AddQuery (`check_safety` false) and Admit (true): collects q's edges
+  /// in both directions against the live queries, then registers q and
+  /// its edges unless the safety check rejected it.
+  Status Add(ir::QueryId q, bool check_safety);
+
   void AddEdge(ir::QueryId from, uint32_t head_idx, ir::QueryId to,
                uint32_t pc_idx, const unify::Unifier& edge_unifier);
 
@@ -129,6 +153,9 @@ class UnifiabilityGraph {
   AtomIndex pc_index_;    // over postcondition atoms of added queries
   std::vector<ir::QueryId> safety_violations_;
   uint64_t unification_attempts_ = 0;
+  // Scratch buffers reused by Add, so admission allocates no lists.
+  std::vector<AtomRef> cands_;
+  std::vector<NewEdge> new_edges_;
 };
 
 }  // namespace eq::core

@@ -17,7 +17,6 @@ CoordinationEngine::CoordinationEngine(ir::QueryContext* ctx, db::Snapshot db,
       db_(std::move(db)),
       opts_(opts),
       graph_(&queries_),
-      safety_(&queries_),
       combiner_(&queries_) {}
 
 Result<QueryId> CoordinationEngine::Submit(EntangledQuery query,
@@ -48,24 +47,24 @@ Result<QueryId> CoordinationEngine::Submit(EntangledQuery query,
   deadlines_.push_back(ttl_ticks == 0 ? 0 : now_ + ttl_ticks);
   body_rels_.push_back(std::move(body_rels));
 
-  if (opts_.enforce_safety) {
-    Status st = safety_.Admit(id);
-    if (!st.ok()) {
-      ++metrics_.rejected_unsafe;
-      metrics_.match_seconds += sw.ElapsedSeconds();
-      QueryOutcome outcome;
-      outcome.state = QueryOutcome::State::kFailed;
-      outcome.status = st;
-      outcome.via = QueryOutcome::Via::kSubmit;
-      outcomes_[id] = outcome;
-      if (callback_) callback_(id, outcomes_[id]);
-      return id;  // submission succeeded; coordination was refused
-    }
+  // One index probe admits the query: the graph collects its edges and
+  // applies the §3.1.1 rule (when enforced) before adding anything.
+  // AddQuery cannot fail here: the id is fresh and in range.
+  Status st = opts_.enforce_safety ? graph_.Admit(id) : graph_.AddQuery(id);
+  if (!st.ok()) {
+    ++metrics_.rejected_unsafe;
+    metrics_.match_seconds += sw.ElapsedSeconds();
+    QueryOutcome outcome;
+    outcome.state = QueryOutcome::State::kFailed;
+    outcome.status = st;
+    outcome.via = QueryOutcome::Via::kSubmit;
+    outcomes_[id] = outcome;
+    if (callback_) callback_(id, outcomes_[id]);
+    return id;  // submission succeeded; coordination was refused
   }
 
   pending_.insert(id);
   for (SymbolId rel : body_rels_[id]) pending_by_body_rel_[rel].insert(id);
-  graph_.AddQuery(id);  // cannot fail: id is fresh and in range
   AbsorbPartitions(id);
   if (deadlines_[id] != 0) deadline_heap_.emplace(deadlines_[id], id);
   metrics_.match_seconds += sw.ElapsedSeconds();
@@ -193,7 +192,6 @@ void CoordinationEngine::Resolve(QueryId q, QueryOutcome outcome) {
 
 void CoordinationEngine::Retire(QueryId q) {
   graph_.RemoveNode(q);
-  if (opts_.enforce_safety) safety_.Remove(q);
   auto it = partition_of_.find(q);
   if (it == partition_of_.end()) return;
   PartitionId pid = it->second;
@@ -215,7 +213,6 @@ void CoordinationEngine::RetireAll(const std::vector<QueryId>& qs) {
   std::unordered_set<QueryId> dead(qs.begin(), qs.end());
   for (QueryId q : qs) {
     graph_.RemoveNode(q);
-    if (opts_.enforce_safety) safety_.Remove(q);
     auto it = partition_of_.find(q);
     if (it != partition_of_.end()) {
       touched.insert(it->second);

@@ -10,7 +10,6 @@
 
 #include "core/combiner.h"
 #include "core/matcher.h"
-#include "core/safety.h"
 #include "core/unifiability_graph.h"
 #include "db/snapshot.h"
 #include "ir/query.h"
@@ -194,7 +193,7 @@ class CoordinationEngine {
   std::vector<ir::QueryId> partition_members(ir::QueryId q) const;
 
   /// Withdraws a still-pending query: resolves it as failed (kCancelled) and
-  /// retires it from graph/safety/partition state, so a disconnected client
+  /// retires it from graph/partition state, so a disconnected client
   /// stops pinning its partition. In incremental mode the affected partition
   /// is re-examined — removing the canceller can unblock the survivors.
   /// Fails with NotFound for ids that are out of range or no longer pending.
@@ -252,7 +251,7 @@ class CoordinationEngine {
   /// Marks a query resolved and notifies the application.
   void Resolve(ir::QueryId q, QueryOutcome outcome);
 
-  /// Removes a resolved query from graph/safety/partition bookkeeping.
+  /// Removes a resolved query from graph/partition bookkeeping.
   void Retire(ir::QueryId q);
 
   /// Incremental mode: evaluates any of `affected` partitions whose members
@@ -310,7 +309,6 @@ class CoordinationEngine {
       pending_by_body_rel_;
 
   core::UnifiabilityGraph graph_;
-  core::SafetyChecker safety_;
   core::Combiner combiner_;
 
   std::unordered_map<ir::QueryId, PartitionId> partition_of_;

@@ -200,7 +200,7 @@ class QueryParser {
     std::string rel;
     if (!ReadIdent(&rel)) return ErrS("expected relation name");
     SymbolId rel_id = ctx_->Intern(rel);
-    if (declare_answer) ctx_->DeclareAnswerRelation(rel_id);
+    if (declare_answer) EQ_RETURN_NOT_OK(ctx_->DeclareAnswerRelation(rel_id));
     if (!Consume('(')) return ErrS("expected '(' after relation name");
     std::vector<Term> args;
     SkipWs();

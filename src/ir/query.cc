@@ -73,6 +73,20 @@ VarId QueryContext::NewVar(std::string name) {
   return id;
 }
 
+Status DatabaseRelationAsAnswer(std::string_view relation) {
+  return Status::InvalidArgument(
+      "relation '" + std::string(relation) +
+      "' is a database table; it cannot appear in a head or postcondition");
+}
+
+Status QueryContext::DeclareAnswerRelation(SymbolId rel) {
+  auto [it, inserted] = relation_kinds_.emplace(rel, RelationKind::kAnswer);
+  if (!inserted && it->second == RelationKind::kDatabase) {
+    return DatabaseRelationAsAnswer(interner_->Name(rel));
+  }
+  return Status::OK();
+}
+
 Status QueryContext::NoteArity(SymbolId rel, size_t arity) {
   auto [it, inserted] = arities_.emplace(rel, arity);
   if (!inserted && it->second != arity) {
@@ -84,14 +98,15 @@ Status QueryContext::NoteArity(SymbolId rel, size_t arity) {
   return Status::OK();
 }
 
-size_t QueryContext::ArityOf(SymbolId rel) const {
+std::optional<size_t> QueryContext::ArityOf(SymbolId rel) const {
   auto it = arities_.find(rel);
-  return it == arities_.end() ? 0 : it->second;
+  if (it == arities_.end()) return std::nullopt;
+  return it->second;
 }
 
 void QueryContext::AdoptMetaFrom(const QueryContext& base) {
-  for (const auto& [rel, is_answer] : base.answer_relations_) {
-    answer_relations_[rel] = is_answer;
+  for (const auto& [rel, kind] : base.relation_kinds_) {
+    relation_kinds_[rel] = kind;
   }
   for (const auto& [rel, arity] : base.arities_) {
     arities_.emplace(rel, arity);

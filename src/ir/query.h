@@ -2,7 +2,9 @@
 #define EQ_IR_QUERY_H_
 
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -102,31 +104,48 @@ class QueryContext {
   size_t var_count() const { return var_names_.size(); }
 
   /// Declares `rel` as an ANSWER relation (head/postcondition namespace).
-  void DeclareAnswerRelation(SymbolId rel) { answer_relations_[rel] = true; }
+  /// Fails with InvalidArgument, declaring nothing, when `rel` is a
+  /// database table (DeclareDatabaseRelation): a table used as a head
+  /// would otherwise turn every later body that reads it invalid.
+  Status DeclareAnswerRelation(SymbolId rel);
   bool IsAnswerRelation(SymbolId rel) const {
-    auto it = answer_relations_.find(rel);
-    return it != answer_relations_.end() && it->second;
+    auto it = relation_kinds_.find(rel);
+    return it != relation_kinds_.end() && it->second == RelationKind::kAnswer;
+  }
+
+  /// Declares `rel` as a database table (body namespace). The service
+  /// declares every bootstrap table in its catalog. A relation already
+  /// declared ANSWER stays ANSWER.
+  void DeclareDatabaseRelation(SymbolId rel) {
+    relation_kinds_.emplace(rel, RelationKind::kDatabase);
+  }
+  bool IsDatabaseRelation(SymbolId rel) const {
+    auto it = relation_kinds_.find(rel);
+    return it != relation_kinds_.end() &&
+           it->second == RelationKind::kDatabase;
   }
 
   /// Records/validates the arity of a relation. The first call fixes the
   /// arity; later mismatches return InvalidArgument.
   Status NoteArity(SymbolId rel, size_t arity);
 
-  /// Returns the recorded arity, or 0 if the relation was never seen.
-  size_t ArityOf(SymbolId rel) const;
+  /// Returns the recorded arity, or nullopt if the relation was never seen.
+  std::optional<size_t> ArityOf(SymbolId rel) const;
 
-  /// Copies `base`'s catalog metadata — ANSWER-relation declarations and
-  /// recorded arities — into this context. Used when seeding a fresh
-  /// context (a service shard, a recycled edge catalog) from the storage
+  /// Copies `base`'s catalog metadata — ANSWER and database relation
+  /// declarations and recorded arities — into this context. Used when seeding a
+  /// fresh context (a service shard, a recycled edge catalog) from the storage
   /// bootstrap context without re-running the bootstrap. Requires a shared
-  /// interner (SymbolIds must mean the same strings in both contexts).
-  /// `base` must not be mutated concurrently.
+  /// interner (SymbolIds must mean the same strings in both contexts). `base`
+  /// must not be mutated concurrently.
   void AdoptMetaFrom(const QueryContext& base);
 
  private:
+  enum class RelationKind : uint8_t { kAnswer, kDatabase };
+
   std::shared_ptr<StringInterner> interner_;
   std::vector<std::string> var_names_;
-  std::unordered_map<SymbolId, bool> answer_relations_;
+  std::unordered_map<SymbolId, RelationKind> relation_kinds_;
   std::unordered_map<SymbolId, size_t> arities_;
 };
 
@@ -165,6 +184,11 @@ struct QuerySet {
   /// Assigns sequential ids (0..n-1) to all queries.
   void AssignIds();
 };
+
+/// The InvalidArgument status for a database table used as a head or
+/// postcondition relation (shared by QueryContext::DeclareAnswerRelation
+/// and the read-only client::PortableQuery::Validate).
+Status DatabaseRelationAsAnswer(std::string_view relation);
 
 /// Validates a single query against the paper's well-formedness rules:
 /// non-empty head, ANSWER relations only in H/C, database relations only in

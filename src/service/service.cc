@@ -35,6 +35,13 @@ CoordinationService::CoordinationService(ServiceOptions opts)
     opts_.bootstrap(storage_ctx_.get(), storage_->mutable_db());
   }
   storage_->Publish();
+  // The catalog knows the bootstrap tables, so no dialect can declare one
+  // an ANSWER relation: a head on a table would make every later body that
+  // reads it invalid, on the edge and on the shard.
+  storage_->Current().ForEachTable(
+      [this](SymbolId rel, const db::TableVersion&) {
+        storage_ctx_->DeclareDatabaseRelation(rel);
+      });
   // Register each shard as a version-GC reader (reader id = shard id)
   // before its thread exists, so the watermark is conservative from the
   // first publish: a shard that has not yet reported holds it at 0.
@@ -126,10 +133,32 @@ CoordinationService::~CoordinationService() {
 
 Result<PlanCache::Plan> CoordinationService::PreparePlan(
     const client::Query& query) {
-  // Cache key: dialect prefix + the query's structural fingerprint. Text
-  // dialects normalize whitespace (quote-aware); builder programs render
-  // their canonical IR text (variables renamed v0, v1, ... — two programs
-  // built differently but structurally identical share a key).
+  PlanCache::Plan plan;
+  auto routable = [&plan]() -> Status {
+    plan.relations = plan.program->EntangledRelations();
+    if (plan.relations.empty()) {
+      return Status::InvalidArgument(
+          "query has no entangled atoms to route on");
+    }
+    return Status::OK();
+  };
+
+  // Builder programs are already the canonical form. Validate them
+  // read-only against the bootstrap catalog, so malformed programs fail
+  // synchronously, and skip the plan cache and the edge pool: only the
+  // shard instantiates them.
+  if (query.dialect() == client::Dialect::kBuilder) {
+    if (!query.program()) {
+      return Status::InvalidArgument("builder query carries no program");
+    }
+    EQ_RETURN_NOT_OK(query.program()->Validate(*storage_ctx_));
+    plan.program = query.program();
+    EQ_RETURN_NOT_OK(routable());
+    return plan;
+  }
+
+  // Cache key: dialect prefix + the whitespace-normalized (quote-aware)
+  // query text.
   std::string key;
   switch (query.dialect()) {
     case client::Dialect::kIr: {
@@ -152,61 +181,25 @@ Result<PlanCache::Plan> CoordinationService::PreparePlan(
       key = "s:" + PlanCache::NormalizeText(query.text());
       break;
     }
-    case client::Dialect::kBuilder: {
-      if (!query.program()) {
-        return Status::InvalidArgument("builder query carries no program");
-      }
-      key = "b:" + query.program()->ToIrText();
-      break;
-    }
     default:
       return Status::InvalidArgument("unknown query dialect");
   }
 
-  PlanCache::Plan plan;
   if (plan_cache_->Lookup(key, &plan)) return plan;
 
   // Miss: canonicalize on a pooled edge context. The lease is held only
-  // across this one parse/translate/validate.
+  // across this one parse/translate.
   auto lease = edge_pool_->Acquire();
-  switch (query.dialect()) {
-    case client::Dialect::kIr: {
-      ir::Parser parser(lease.ctx());
-      auto q = parser.ParseQuery(query.text());
-      if (!q.ok()) {
-        edge_parse_errors_.fetch_add(1, std::memory_order_relaxed);
-        return q.status();
-      }
-      plan.program = std::make_shared<const client::PortableQuery>(
-          client::FromIr(*q, *lease.ctx()));
-      break;
-    }
-    case client::Dialect::kSql: {
-      auto q = lease.translator().TranslateSql(query.text());
-      if (!q.ok()) {
-        edge_parse_errors_.fetch_add(1, std::memory_order_relaxed);
-        return q.status();
-      }
-      plan.program = std::make_shared<const client::PortableQuery>(
-          client::FromIr(*q, *lease.ctx()));
-      break;
-    }
-    case client::Dialect::kBuilder: {
-      // Validate eagerly against the edge catalog so malformed programs
-      // fail synchronously instead of on the shard.
-      auto validated = query.program()->Instantiate(lease.ctx());
-      if (!validated.ok()) return validated.status();
-      plan.program = query.program();
-      break;
-    }
-    default:
-      return Status::InvalidArgument("unknown query dialect");
+  auto q = query.dialect() == client::Dialect::kIr
+               ? ir::Parser(lease.ctx()).ParseQuery(query.text())
+               : lease.translator().TranslateSql(query.text());
+  if (!q.ok()) {
+    edge_parse_errors_.fetch_add(1, std::memory_order_relaxed);
+    return q.status();
   }
-  plan.relations = plan.program->EntangledRelations();
-  if (plan.relations.empty()) {
-    return Status::InvalidArgument(
-        "query has no entangled atoms to route on");
-  }
+  plan.program = std::make_shared<const client::PortableQuery>(
+      client::FromIr(*q, *lease.ctx()));
+  EQ_RETURN_NOT_OK(routable());
   plan_cache_->Insert(key, plan);
   return plan;
 }

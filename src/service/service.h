@@ -85,12 +85,13 @@ struct ServiceOptions {
   size_t edge_pool_size = 0;
 
   /// Entries in the fingerprint-keyed prepared-plan cache (LRU) in front
-  /// of translation: key = dialect + normalized query text (or the builder
-  /// program's canonical structural rendering), value = the canonical
-  /// portable program + entangled-relation list. A repeat shape skips
-  /// parse/translate/canonicalize and goes straight to routing. Entries
-  /// are context-free, so they survive edge recycles; the cache is swept
-  /// whenever a recycle (or replicated catalog) observes a
+  /// of SQL and IR translation: key = dialect + normalized query text,
+  /// value = the canonical portable program + entangled-relation list. A
+  /// repeat shape skips parse/translate/canonicalize and goes straight to
+  /// routing. Builder programs are canonical already and never use the
+  /// cache: they are validated read-only against the bootstrap catalog.
+  /// Entries are context-free, so they survive edge recycles; the cache is
+  /// swept whenever a recycle (or replicated catalog) observes a
   /// schema-affecting change. 0 disables caching.
   size_t plan_cache_capacity = 1024;
 
@@ -372,11 +373,13 @@ class CoordinationService : public CoordinationInterface {
   };
 
   /// Normalizes one query: blank-text rejection, then plan-cache lookup,
-  /// then (on a miss) parse/translate/validate on a pooled edge context.
-  /// Records the prepare-latency histogram. Never takes submit_mu_.
+  /// then (on a miss) parse/translate/validate on a pooled edge context;
+  /// builder programs are only validated, read-only. Records the
+  /// prepare-latency histogram. Never takes submit_mu_.
   Result<Prepared> PrepareQuery(const client::Query& query);
   /// The shared prepare worker behind PrepareQuery and Canonicalize:
-  /// cache key computation, lookup, miss-path canonicalization, insert.
+  /// builder validation, or cache key computation, lookup, miss-path
+  /// canonicalization and insert for the text dialects.
   Result<PlanCache::Plan> PreparePlan(const client::Query& query);
   /// Routes, records and enqueues one prepared query. Caller holds
   /// submit_mu_ and enqueues `*planned` after releasing it (see

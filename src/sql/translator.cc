@@ -41,14 +41,14 @@ class Translation {
     }
     for (const std::string& name : stmt.answer_tables) {
       SymbolId rel = ctx_->Intern(name);
-      ctx_->DeclareAnswerRelation(rel);
+      EQ_RETURN_NOT_OK(ctx_->DeclareAnswerRelation(rel));
       out->head.push_back(Atom(rel, select_terms));
     }
 
     // Postconditions.
     for (const InAnswer& pc : stmt.postconditions) {
       SymbolId rel = ctx_->Intern(pc.answer_table);
-      ctx_->DeclareAnswerRelation(rel);
+      EQ_RETURN_NOT_OK(ctx_->DeclareAnswerRelation(rel));
       std::vector<Term> terms;
       for (const SqlTerm& t : pc.tuple) {
         Term term;

@@ -158,6 +158,139 @@ TEST(PortableQueryTest, InvalidProgramFailsValidation) {
   EXPECT_FALSE(bad.Instantiate(&ctx).ok());
 }
 
+// Differential check of the read-only validator: over a corpus that covers
+// every rejection class, Validate must return what Instantiate (which runs
+// ir::ValidateQuery) returns on a fresh context seeded from the same
+// catalog, and must leave the shared interner and the catalog untouched.
+TEST(PortableQueryTest, ValidateMatchesInstantiateOnEveryRejectionClass) {
+  ir::QueryContext catalog;
+  SymbolId reservation = catalog.Intern("Reservation");
+  SymbolId flights = catalog.Intern("Flights");
+  ASSERT_TRUE(catalog.DeclareAnswerRelation(reservation).ok());
+  ASSERT_TRUE(catalog.NoteArity(reservation, 2).ok());
+  catalog.DeclareDatabaseRelation(flights);
+  ASSERT_TRUE(catalog.NoteArity(flights, 2).ok());
+  catalog.DeclareDatabaseRelation(catalog.Intern("Airlines"));
+
+  auto pair = [] {
+    return std::move(QueryBuilder()
+                         .Label("pair")
+                         .Postcondition("Reservation", {Str("Jerry"), Var("x")})
+                         .Head("Reservation", {Str("Kramer"), Var("x")})
+                         .Body("Flights", {Var("x"), Str("Paris")}));
+  };
+  struct Case {
+    const char* name;
+    PortableQuery program;
+    StatusCode want;
+  };
+  std::vector<Case> corpus;
+  auto add = [&](const char* name, QueryBuilder b, StatusCode want) {
+    corpus.push_back({name, b.BuildPortable(), want});
+  };
+  add("valid pair", pair(), StatusCode::kOk);
+  add("valid, relations the interner has never seen",
+      std::move(QueryBuilder()
+                    .Postcondition("Gift_v", {Str("Elaine"), Var("g")})
+                    .Head("Gift_v", {Str("George"), Var("g")})
+                    .Body("Shop_v", {Var("g")})
+                    .Filter(Var("g"), ir::CompareOp::kNe, Str("Socks_v"))),
+      StatusCode::kOk);
+  add("empty head",
+      std::move(QueryBuilder()
+                    .Postcondition("Reservation", {Str("Jerry"), Var("x")})
+                    .Body("Flights", {Var("x"), Str("Paris")})),
+      StatusCode::kInvalidArgument);
+  add("choose 0", std::move(pair().Choose(0)), StatusCode::kInvalidArgument);
+  add("choose -3", std::move(pair().Choose(-3)), StatusCode::kInvalidArgument);
+  add("catalog ANSWER relation in the body",
+      std::move(pair().Body("Reservation", {Str("Elaine"), Var("x")})),
+      StatusCode::kInvalidArgument);
+  add("own head relation in the body",
+      std::move(QueryBuilder()
+                    .Head("Gift_b", {Var("g")})
+                    .Body("Gift_b", {Var("g")})),
+      StatusCode::kInvalidArgument);
+  add("arity clash within the query (head vs postcondition)",
+      std::move(QueryBuilder()
+                    .Postcondition("Pair_a", {Str("J"), Var("x")})
+                    .Head("Pair_a", {Var("x")})
+                    .Body("Flights", {Var("x"), Str("Paris")})),
+      StatusCode::kInvalidArgument);
+  add("arity clash within the query (body)",
+      std::move(QueryBuilder()
+                    .Head("Pair_c", {Var("x")})
+                    .Body("Shop_c", {Var("x")})
+                    .Body("Shop_c", {Var("x"), Var("y")})),
+      StatusCode::kInvalidArgument);
+  add("arity clash against the catalog (head)",
+      std::move(QueryBuilder()
+                    .Head("Reservation", {Var("x")})
+                    .Body("Flights", {Var("x"), Str("Paris")})),
+      StatusCode::kInvalidArgument);
+  add("arity clash against the catalog (body)",
+      std::move(QueryBuilder()
+                    .Head("Reservation", {Str("Kramer"), Var("x")})
+                    .Body("Flights", {Var("x")})),
+      StatusCode::kInvalidArgument);
+  add("unbound head variable",
+      std::move(QueryBuilder()
+                    .Postcondition("Reservation", {Str("Jerry"), Var("x")})
+                    .Head("Reservation", {Str("Kramer"), Var("y")})
+                    .Body("Flights", {Var("x"), Str("Paris")})),
+      StatusCode::kInvalidArgument);
+  add("unbound postcondition variable",
+      std::move(QueryBuilder()
+                    .Postcondition("Reservation", {Var("who"), Var("x")})
+                    .Head("Reservation", {Str("Kramer"), Var("x")})
+                    .Body("Flights", {Var("x"), Str("Paris")})),
+      StatusCode::kInvalidArgument);
+  add("unbound filter variable",
+      std::move(pair().Filter(Var("z"), ir::CompareOp::kLt, Int(3))),
+      StatusCode::kInvalidArgument);
+  add("head on a table",
+      std::move(QueryBuilder()
+                    .Postcondition("Reservation", {Str("B"), Var("a")})
+                    .Head("Flights", {Var("a"), Str("x")})
+                    .Body("G_t", {Var("a")})),
+      StatusCode::kInvalidArgument);
+  add("postcondition on a table",
+      std::move(QueryBuilder()
+                    .Postcondition("Airlines", {Var("a"), Str("United")})
+                    .Head("Reservation", {Str("Kramer"), Var("a")})
+                    .Body("Flights", {Var("a"), Str("Paris")})),
+      StatusCode::kInvalidArgument);
+  add("first failure wins: a table postcondition before its arity clash",
+      std::move(QueryBuilder()
+                    .Postcondition("Flights", {Var("a")})
+                    .Head("Reservation", {Var("a")})
+                    .Body("G_t", {Var("a")})),
+      StatusCode::kInvalidArgument);
+  add("first failure wins: arity before range restriction",
+      std::move(QueryBuilder()
+                    .Head("Reservation", {Var("unbound")})
+                    .Body("Flights", {Var("x")})),
+      StatusCode::kInvalidArgument);
+
+  for (const Case& c : corpus) {
+    SCOPED_TRACE(c.name);
+    size_t symbols = catalog.interner().size();
+    Status got = c.program.Validate(catalog);
+    EXPECT_EQ(catalog.interner().size(), symbols) << "Validate interned";
+    EXPECT_EQ(catalog.var_count(), 0u) << "Validate allocated variables";
+
+    ir::QueryContext fresh(catalog.interner_ptr());
+    fresh.AdoptMetaFrom(catalog);
+    auto want = c.program.Instantiate(&fresh);
+    EXPECT_EQ(got.code(), want.status().code()) << got.ToString();
+    EXPECT_EQ(got.ToString(), want.status().ToString());
+    EXPECT_EQ(got.code(), c.want) << got.ToString();
+  }
+  // Nothing the corpus named was declared in the catalog.
+  EXPECT_FALSE(catalog.IsAnswerRelation(catalog.Intern("Gift_v")));
+  EXPECT_TRUE(catalog.IsDatabaseRelation(flights));
+}
+
 TEST(PortableQueryTest, EntangledRelationsAreHeadAndPostconditions) {
   PortableQuery p = QueryBuilder()
                         .Postcondition("R", {Str("J"), Var("x")})
@@ -291,6 +424,67 @@ TEST(ClientErrorTest, BuilderValidationErrorsFailSynchronously) {
                           .Build());
   EXPECT_FALSE(t.ok());
   EXPECT_EQ(t.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(ClientErrorTest, RejectedBuilderInternsNothing) {
+  CoordinationService svc(Opts(2));
+  size_t symbols = svc.storage().interner().size();
+  auto t = svc.Submit(QueryBuilder()
+                          .Postcondition("Never_seen_r", {Str("Q1"), Var("x")})
+                          .Head("Never_seen_r", {Str("Q2"), Var("y")})
+                          .Body("Never_seen_t", {Var("x"), Str("Q3")})
+                          .Build());
+  ASSERT_FALSE(t.ok());
+  EXPECT_EQ(t.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(svc.storage().interner().size(), symbols);
+}
+
+// A head or postcondition naming a database table is rejected in every
+// dialect before a ticket exists. It used to be accepted and to declare the
+// table an ANSWER relation in the edge and shard catalogs, after which every
+// query whose body read the table was rejected.
+TEST(ClientErrorTest, HeadOnDatabaseTableIsRejectedInEveryDialect) {
+  ServiceOptions o = Opts(1);
+  o.edge_pool_size = 1;  // every prepare shares one edge catalog
+  CoordinationService svc(o);
+  std::vector<Query> bad = {
+      QueryBuilder()
+          .Postcondition("Reservation", {Str("B"), Var("a")})
+          .Head("Flights", {Var("a"), Str("x")})
+          .Body("G", {Var("a")})
+          .Build(),
+      Query::Ir("{Reservation('B', a)} Flights(a, 'x') :- G(a)"),
+      Query::Sql("SELECT fno, 'x' INTO ANSWER Flights "
+                 "WHERE fno IN (SELECT fno FROM Airlines) "
+                 "AND ('B', fno) IN ANSWER Reservation CHOOSE 1"),
+      QueryBuilder()
+          .Postcondition("Airlines", {Var("a"), Str("United")})
+          .Head("Reservation", {Str("B"), Var("a")})
+          .Body("Flights", {Var("a"), Str("Paris")})
+          .Build(),
+  };
+  for (size_t i = 0; i < bad.size(); ++i) {
+    auto t = svc.Submit(bad[i]);
+    ASSERT_FALSE(t.ok()) << "query " << i;
+    EXPECT_EQ(t.status().code(), StatusCode::kInvalidArgument)
+        << "query " << i << ": " << t.status().ToString();
+  }
+  // Pairs whose bodies read the table still coordinate, in every dialect.
+  std::vector<std::pair<Query, Query>> pairs;
+  pairs.emplace_back(Query::Sql(kKramerSql), Query::Sql(kJerrySql));
+  pairs.emplace_back(Query::Ir(kKramerIr), Query::Ir(kJerryIr));
+  pairs.emplace_back(KramerBuilt(), JerryBuilt());
+  for (auto& [kramer, jerry] : pairs) {
+    auto tk = svc.Submit(kramer);
+    auto tj = svc.Submit(jerry);
+    ASSERT_TRUE(tk.ok()) << tk.status().ToString();
+    ASSERT_TRUE(tj.ok()) << tj.status().ToString();
+    ASSERT_TRUE(svc.Drain());
+    EXPECT_EQ(tk->outcome().state, ServiceOutcome::State::kAnswered)
+        << tk->outcome().status.ToString();
+    EXPECT_EQ(tj->outcome().state, ServiceOutcome::State::kAnswered)
+        << tj->outcome().status.ToString();
+  }
 }
 
 TEST(ClientErrorTest, EmptyTextFailsSynchronouslyInBothTextDialects) {

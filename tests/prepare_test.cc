@@ -114,17 +114,41 @@ TEST(PlanCacheServiceTest, CachedSubmitRoutesAndAnswersLikeCold) {
   EXPECT_EQ(m.answered, 4u);
 }
 
-TEST(PlanCacheServiceTest, BuilderProgramsShareStructuralKey) {
-  CoordinationService svc(Opts());
+TEST(PlanCacheServiceTest, BuilderProgramsBypassTheCache) {
+  // Builder programs are canonical already: they are validated read-only
+  // and routed, never keyed, looked up or stored in the plan cache.
+  ServiceOptions o = Opts();
+  o.plan_cache_capacity = 1;  // a stored builder plan would evict the IR one
+  CoordinationService svc(o);
   ASSERT_TRUE(svc.Canonicalize(PairBuilder("Kramer", "Jerry")).ok());
-  uint64_t misses = svc.Metrics().prepare_cache_misses;
-  // Structurally identical program built afresh: a hit, no new miss.
   ASSERT_TRUE(svc.Canonicalize(PairBuilder("Kramer", "Jerry")).ok());
-  EXPECT_EQ(svc.Metrics().prepare_cache_misses, misses);
-  EXPECT_GE(svc.Metrics().prepare_cache_hits, 1u);
-  // A different constant is a different shape: miss.
   ASSERT_TRUE(svc.Canonicalize(PairBuilder("Elaine", "Jerry")).ok());
-  EXPECT_EQ(svc.Metrics().prepare_cache_misses, misses + 1);
+  auto tk = svc.Submit(PairBuilder("Kramer", "Jerry"));
+  auto tj = svc.Submit(PairBuilder("Jerry", "Kramer"));
+  ASSERT_TRUE(tk.ok() && tj.ok());
+  ASSERT_TRUE(svc.Drain());
+  EXPECT_EQ(tk->outcome().state, ServiceOutcome::State::kAnswered)
+      << tk->outcome().status.ToString();
+  // Invalid programs still fail synchronously, before any ticket exists.
+  auto bad = svc.Submit(QueryBuilder()
+                            .Postcondition("Reservation", {Str("A"), Var("x")})
+                            .Head("Reservation", {Str("B"), Var("y")})
+                            .Body("Flights", {Var("x"), Str("Paris")})
+                            .Build());
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  ServiceMetrics m = svc.Metrics();
+  EXPECT_EQ(m.prepare_cache_hits, 0u);
+  EXPECT_EQ(m.prepare_cache_misses, 0u);
+  // Size stays 0: the one slot still holds an IR plan across more builder
+  // prepares.
+  ASSERT_TRUE(svc.Canonicalize(Query::Ir(PairIr("A", "B"))).ok());
+  ASSERT_TRUE(svc.Canonicalize(PairBuilder("Kramer", "Jerry")).ok());
+  ASSERT_TRUE(svc.Canonicalize(Query::Ir(PairIr("A", "B"))).ok());
+  m = svc.Metrics();
+  EXPECT_EQ(m.prepare_cache_misses, 1u);
+  EXPECT_EQ(m.prepare_cache_hits, 1u);
+  EXPECT_EQ(m.prepare_cache_evictions, 0u);
 }
 
 // --------------------------------------------------- eviction bounds -----
