@@ -7,12 +7,12 @@ using ir::Term;
 using ir::Value;
 
 void AtomIndex::Add(const AtomRef& ref, const Atom& atom) {
-  by_relation_[atom.relation].push_back(ref);
-  ++entries_;
+  by_relation_[atom.relation].refs.push_back(ref);
+  entries_ += 1 + atom.args.size();
   for (uint32_t i = 0; i < atom.args.size(); ++i) {
     const Term& t = atom.args[i];
     Key key{atom.relation, i, t.is_const() ? t.value() : Value()};
-    map_[key].push_back(ref);
+    map_[key].refs.push_back(ref);
   }
 }
 
@@ -35,9 +35,9 @@ void AtomIndex::Candidates(const Atom& probe,
     auto it_exact = map_.find(Key{probe.relation, i, t.value()});
     auto it_wild = map_.find(Key{probe.relation, i, Value()});
     const std::vector<AtomRef>* exact =
-        it_exact == map_.end() ? &kEmpty : &it_exact->second;
+        it_exact == map_.end() ? &kEmpty : &it_exact->second.refs;
     const std::vector<AtomRef>* wild =
-        it_wild == map_.end() ? &kEmpty : &it_wild->second;
+        it_wild == map_.end() ? &kEmpty : &it_wild->second.refs;
     size_t size = exact->size() + wild->size();
     if (size < best_size) {
       best_size = size;
@@ -50,7 +50,7 @@ void AtomIndex::Candidates(const Atom& probe,
     // All-variable probe: every atom of the relation is a candidate.
     auto it = by_relation_.find(probe.relation);
     if (it != by_relation_.end()) {
-      out->insert(out->end(), it->second.begin(), it->second.end());
+      out->insert(out->end(), it->second.refs.begin(), it->second.refs.end());
     }
     return;
   }

@@ -33,7 +33,14 @@ Result<CombinedQuery> Combiner::Combine(
     const std::vector<QueryId>& members) const {
   CombinedQuery cq;
   cq.members = members;
-  std::sort(cq.members.begin(), cq.members.end());
+  // Ordered by query id, which need not be the position (see
+  // UnifiabilityGraph); positions break ties between unset ids.
+  std::sort(cq.members.begin(), cq.members.end(),
+            [this](QueryId a, QueryId b) {
+              QueryId ia = queries_->queries[a].id;
+              QueryId ib = queries_->queries[b].id;
+              return ia != ib ? ia < ib : a < b;
+            });
 
   // Global unifier U = mgu({U(q_i)}).
   for (QueryId q : cq.members) {
@@ -41,7 +48,7 @@ Result<CombinedQuery> Combiner::Combine(
     if (cq.global.MergeFrom(graph.node(q).unifier) == MergeResult::kConflict) {
       return Status::Unsatisfiable(
           "no global MGU exists for the matched component containing query " +
-          std::to_string(q));
+          std::to_string(queries_->queries[q].id));
     }
   }
 

@@ -17,7 +17,7 @@ namespace eq::core {
 /// rewritten to its class representative and constant-bound classes are
 /// substituted — so φU never materializes as explicit equality atoms.
 struct CombinedQuery {
-  /// The member queries, ascending.
+  /// The member queries (positions in the query set), by ascending id.
   std::vector<ir::QueryId> members;
 
   /// The global unifier U = mgu({U(q_i)}).

@@ -35,7 +35,7 @@ void UnifiabilityGraph::HeadCandidates(const Atom& probe,
     if (!nodes_[q].alive) continue;
     const EntangledQuery& query = queries_->queries[q];
     for (uint32_t i = 0; i < query.head.size(); ++i) {
-      out->push_back(AtomRef{q, i});
+      out->push_back(AtomRef{q, i, nodes_[q].generation});
     }
   }
 }
@@ -50,7 +50,7 @@ void UnifiabilityGraph::PcCandidates(const Atom& probe,
     if (!nodes_[q].alive) continue;
     const EntangledQuery& query = queries_->queries[q];
     for (uint32_t i = 0; i < query.postconditions.size(); ++i) {
-      out->push_back(AtomRef{q, i});
+      out->push_back(AtomRef{q, i, nodes_[q].generation});
     }
   }
 }
@@ -58,8 +58,16 @@ void UnifiabilityGraph::PcCandidates(const Atom& probe,
 void UnifiabilityGraph::AddEdge(QueryId from, uint32_t head_idx, QueryId to,
                                 uint32_t pc_idx,
                                 const Unifier& edge_unifier) {
-  uint32_t id = static_cast<uint32_t>(edges_.size());
-  edges_.push_back(Edge{from, to, head_idx, pc_idx, /*alive=*/true});
+  const Edge edge{from, to, head_idx, pc_idx, /*alive=*/true, /*refs=*/2};
+  uint32_t id;
+  if (free_edges_.empty()) {
+    id = static_cast<uint32_t>(edges_.size());
+    edges_.push_back(edge);
+  } else {
+    id = free_edges_.back();
+    free_edges_.pop_back();
+    edges_[id] = edge;
+  }
   nodes_[from].out_edges.push_back(id);
   nodes_[to].in_edges.push_back(id);
   uint32_t count = ++nodes_[to].pc_match_count[pc_idx];
@@ -108,11 +116,11 @@ Status UnifiabilityGraph::Add(QueryId q, bool check_safety) {
     HeadCandidates(p, &cands);
     // q is not indexed yet, so a hit on q is left over from a removal.
     std::erase_if(cands, [&](const AtomRef& ref) {
-      return ref.query == q || !nodes_[ref.query].alive;
+      return ref.query == q || !Current(ref);
     });
     if (opts_.allow_self_edges) {
       for (uint32_t i = 0; i < query.head.size(); ++i) {
-        cands.push_back(AtomRef{q, i});
+        cands.push_back(AtomRef{q, i, nodes_[q].generation});
       }
     }
     uint32_t matches = 0;
@@ -123,7 +131,7 @@ Status UnifiabilityGraph::Add(QueryId q, bool check_safety) {
       if (!UnifyAtoms(h, p, &u)) continue;
       if (check_safety && ++matches >= 2) {
         return Status::Unsafe("postcondition " + std::to_string(j) +
-                              " of query " + std::to_string(q) +
+                              " of query " + Name(q) +
                               " would unify with two or more heads");
       }
       found.push_back(NewEdge{ref.query, ref.atom_idx, q, j, std::move(u)});
@@ -138,7 +146,7 @@ Status UnifiabilityGraph::Add(QueryId q, bool check_safety) {
     cands.clear();
     PcCandidates(h, &cands);
     for (const AtomRef& ref : cands) {
-      if (ref.query == q || !nodes_[ref.query].alive) continue;
+      if (ref.query == q || !Current(ref)) continue;
       const Atom& p = queries_->queries[ref.query].postconditions[ref.atom_idx];
       Unifier u;
       ++unification_attempts_;
@@ -151,11 +159,11 @@ Status UnifiabilityGraph::Add(QueryId q, bool check_safety) {
           taken = found[e].to == ref.query && found[e].pc_idx == ref.atom_idx;
         }
         if (taken) {
-          return Status::Unsafe("head of query " + std::to_string(q) +
+          return Status::Unsafe("head of query " + Name(q) +
                                 " would make postcondition " +
                                 std::to_string(ref.atom_idx) +
-                                " of admitted query " +
-                                std::to_string(ref.query) + " ambiguous");
+                                " of admitted query " + Name(ref.query) +
+                                " ambiguous");
         }
       }
       found.push_back(NewEdge{q, i, ref.query, ref.atom_idx, std::move(u)});
@@ -166,12 +174,13 @@ Status UnifiabilityGraph::Add(QueryId q, bool check_safety) {
   node.alive = true;
   node.init_conflict = false;
   node.pc_match_count.assign(query.postconditions.size(), 0);
-  if (opts_.use_atom_index) {
+  node.indexed = opts_.use_atom_index;
+  if (node.indexed) {
     for (uint32_t i = 0; i < query.head.size(); ++i) {
-      head_index_.Add(AtomRef{q, i}, query.head[i]);
+      head_index_.Add(AtomRef{q, i, node.generation}, query.head[i]);
     }
     for (uint32_t j = 0; j < query.postconditions.size(); ++j) {
-      pc_index_.Add(AtomRef{q, j}, query.postconditions[j]);
+      pc_index_.Add(AtomRef{q, j, node.generation}, query.postconditions[j]);
     }
   }
   for (const NewEdge& e : found) {
@@ -202,6 +211,55 @@ void UnifiabilityGraph::RemoveNode(QueryId q) {
   for (uint32_t id : node.in_edges) {
     edges_[id].alive = false;
   }
+}
+
+void UnifiabilityGraph::Release(QueryId q) {
+  if (q >= nodes_.size()) return;
+  RemoveNode(q);
+  Node& node = nodes_[q];
+  // From here on the node's index entries are stale.
+  ++node.generation;
+  if (node.indexed) {
+    auto stale = [this](const AtomRef& ref) {
+      return ref.generation != nodes_[ref.query].generation;
+    };
+    const EntangledQuery& query = queries_->queries[q];
+    for (const Atom& h : query.head) head_index_.Remove(h, stale);
+    for (const Atom& p : query.postconditions) pc_index_.Remove(p, stale);
+  }
+  for (uint32_t id : node.out_edges) DropEdgeRef(id, q);
+  for (uint32_t id : node.in_edges) DropEdgeRef(id, q);
+  node = Node{.generation = node.generation};
+}
+
+void UnifiabilityGraph::DropEdgeRef(uint32_t id, QueryId q) {
+  Edge& e = edges_[id];
+  if (--e.refs == 0) {
+    free_edges_.push_back(id);
+    return;
+  }
+  // The other endpoint still lists the edge. A live one compacts its lists
+  // once half their entries point at released nodes; a removed one drops
+  // them when it is released itself.
+  QueryId other = e.from == q ? e.to : e.from;
+  Node& o = nodes_[other];
+  if (other == q || !o.alive) return;
+  if (++o.released_adj * 2 >= o.out_edges.size() + o.in_edges.size()) {
+    CompactAdjacency(other);
+  }
+}
+
+void UnifiabilityGraph::CompactAdjacency(QueryId q) {
+  auto drop_dead = [this](uint32_t id) {
+    Edge& e = edges_[id];
+    if (e.alive) return false;
+    if (--e.refs == 0) free_edges_.push_back(id);
+    return true;
+  };
+  Node& node = nodes_[q];
+  std::erase_if(node.out_edges, drop_dead);
+  std::erase_if(node.in_edges, drop_dead);
+  node.released_adj = 0;
 }
 
 bool UnifiabilityGraph::RecomputeUnifier(QueryId q) {

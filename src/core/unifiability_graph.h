@@ -1,6 +1,7 @@
 #ifndef EQ_CORE_UNIFIABILITY_GRAPH_H_
 #define EQ_CORE_UNIFIABILITY_GRAPH_H_
 
+#include <string>
 #include <vector>
 
 #include "core/atom_index.h"
@@ -20,6 +21,9 @@ struct Edge {
   uint32_t head_idx = 0;
   uint32_t pc_idx = 0;
   bool alive = true;
+  /// Adjacency lists holding this edge id (from's out_edges, to's
+  /// in_edges); the id is recycled when none does.
+  uint8_t refs = 0;
 };
 
 /// Construction knobs. `use_atom_index` is the ablation switch between the
@@ -45,11 +49,25 @@ struct GraphOptions {
 /// let the matcher detect unanswerable queries (a postcondition with no
 /// unifying head). The graph supports incremental growth (AddQuery) for the
 /// engine's incremental evaluation mode (§5.1).
+///
+/// Node ids index the query set. An owner that reuses positions of its
+/// query set (the engine keeps one position per pending query) calls
+/// Release() on a removed node before the position takes a new query:
+/// Release drops the node's index entries and adjacency, and recycles
+/// edge ids once neither endpoint lists them. Error messages name queries
+/// by their `id` field, not by position.
 class UnifiabilityGraph {
  public:
   struct Node {
     bool alive = false;          ///< false until added; false again after removal
     bool init_conflict = false;  ///< initial unifier construction failed (§4.1.4)
+    bool indexed = false;        ///< atoms are in the atom index
+    /// Bumped by Release(): index entries of an earlier registration of
+    /// this position carry an older generation and never match the node.
+    uint32_t generation = 0;
+    /// Entries of the adjacency lists whose other endpoint was released;
+    /// the lists are compacted once half of them are.
+    uint32_t released_adj = 0;
     unify::Unifier unifier;      ///< U(q): constraints required for answerability
     std::vector<uint32_t> out_edges;       ///< edge ids leaving this node
     std::vector<uint32_t> in_edges;        ///< edge ids entering this node
@@ -107,6 +125,21 @@ class UnifiabilityGraph {
   /// matcher's CLEANUP drives the transitive removal (§4.1.3).
   void RemoveNode(ir::QueryId q);
 
+  /// Removes `q` (if still alive) and frees what the graph holds for it:
+  /// its index entries (deleted lazily, see AtomIndex), unifier, match
+  /// counts and adjacency. Its position may then be reused by AddQuery or
+  /// Admit. Reads the query's atoms, so call it before they change. Never
+  /// call it while a matcher runs on the graph.
+  void Release(ir::QueryId q);
+
+  /// Edge ids waiting to be reused.
+  size_t free_edge_count() const { return free_edges_.size(); }
+
+  /// Stored head and postcondition index entries.
+  size_t index_entry_count() const {
+    return head_index_.entry_count() + pc_index_.entry_count();
+  }
+
   /// Recomputes U(q) from scratch from the live incoming edges (used when a
   /// partition must be rebuilt after an incremental removal). Returns false
   /// and sets init_conflict on MGU failure.
@@ -145,10 +178,28 @@ class UnifiabilityGraph {
   void AddEdge(ir::QueryId from, uint32_t head_idx, ir::QueryId to,
                uint32_t pc_idx, const unify::Unifier& edge_unifier);
 
+  /// True for a live node registered under `ref`'s generation.
+  bool Current(const AtomRef& ref) const {
+    const Node& n = nodes_[ref.query];
+    return n.alive && n.generation == ref.generation;
+  }
+
+  /// Drops the adjacency entry the releasing node `q` holds for edge `id`.
+  void DropEdgeRef(uint32_t id, ir::QueryId q);
+
+  /// Removes the dead edges from a live node's adjacency lists.
+  void CompactAdjacency(ir::QueryId q);
+
+  /// The id a node is named by in error messages.
+  std::string Name(ir::QueryId q) const {
+    return std::to_string(queries_->queries[q].id);
+  }
+
   const ir::QuerySet* queries_;
   GraphOptions opts_;
   std::vector<Node> nodes_;
   std::vector<Edge> edges_;
+  std::vector<uint32_t> free_edges_;
   AtomIndex head_index_;  // over head atoms of added queries
   AtomIndex pc_index_;    // over postcondition atoms of added queries
   std::vector<ir::QueryId> safety_violations_;

@@ -21,65 +21,109 @@ CoordinationEngine::CoordinationEngine(ir::QueryContext* ctx, db::Snapshot db,
 
 Result<QueryId> CoordinationEngine::Submit(EntangledQuery query,
                                            uint64_t ttl_ticks) {
-  WaveScope wave(&wave_, QueryOutcome::Via::kSubmit);
+  // What a Flush (or a callback-free caller) retired is released before
+  // the new query takes a slot; what this call retires, when it returns.
+  if (wave_ == QueryOutcome::Via::kNone) ReleaseRetired();
+  WaveScope wave(this, QueryOutcome::Via::kSubmit);
   Stopwatch sw;
   EQ_RETURN_NOT_OK(ir::ValidateQuery(query, ctx_));
-  for (ir::VarId v : query.Variables()) {
+  const std::vector<ir::VarId> vars = query.Variables();
+  for (ir::VarId v : vars) {
     if (used_vars_.count(v)) {
       return Status::InvalidArgument(
           "variable '" + ctx_->VarName(v) +
-          "' was already used by an earlier query; submit queries with fresh "
+          "' is used by a pending query; submit queries with fresh "
           "variables (see ir::RenameApart)");
     }
   }
 
-  QueryId id = static_cast<QueryId>(queries_.queries.size());
+  const QueryId id = next_id();
+  Slot s;
+  if (free_slots_.empty()) {
+    s = static_cast<Slot>(slots_.size());
+    slots_.emplace_back();
+    queries_.queries.emplace_back();
+  } else {
+    s = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  used_vars_.insert(vars.begin(), vars.end());
+  SlotState& st = slots_[s];
+  st.body_rels.reserve(query.body.size());
+  for (const ir::Atom& atom : query.body) st.body_rels.push_back(atom.relation);
+  std::sort(st.body_rels.begin(), st.body_rels.end());
+  st.body_rels.erase(std::unique(st.body_rels.begin(), st.body_rels.end()),
+                     st.body_rels.end());
   query.id = id;
-  for (ir::VarId v : query.Variables()) used_vars_.insert(v);
-  std::vector<SymbolId> body_rels;
-  body_rels.reserve(query.body.size());
-  for (const ir::Atom& atom : query.body) body_rels.push_back(atom.relation);
-  std::sort(body_rels.begin(), body_rels.end());
-  body_rels.erase(std::unique(body_rels.begin(), body_rels.end()),
-                  body_rels.end());
-  queries_.queries.push_back(std::move(query));
+  queries_.queries[s] = std::move(query);
   outcomes_.emplace_back();
-  deadlines_.push_back(ttl_ticks == 0 ? 0 : now_ + ttl_ticks);
-  body_rels_.push_back(std::move(body_rels));
 
   // One index probe admits the query: the graph collects its edges and
   // applies the §3.1.1 rule (when enforced) before adding anything.
-  // AddQuery cannot fail here: the id is fresh and in range.
-  Status st = opts_.enforce_safety ? graph_.Admit(id) : graph_.AddQuery(id);
-  if (!st.ok()) {
+  // AddQuery cannot fail here: the slot is free and in range.
+  Status admitted = opts_.enforce_safety ? graph_.Admit(s) : graph_.AddQuery(s);
+  if (!admitted.ok()) {
     ++metrics_.rejected_unsafe;
     metrics_.match_seconds += sw.ElapsedSeconds();
-    QueryOutcome outcome;
+    QueryOutcome& outcome = outcomes_[id];
     outcome.state = QueryOutcome::State::kFailed;
-    outcome.status = st;
+    outcome.status = admitted;
     outcome.via = QueryOutcome::Via::kSubmit;
-    outcomes_[id] = outcome;
-    if (callback_) callback_(id, outcomes_[id]);
+    retired_.push_back(s);
+    Notify(s);
     return id;  // submission succeeded; coordination was refused
   }
 
-  pending_.insert(id);
-  for (SymbolId rel : body_rels_[id]) pending_by_body_rel_[rel].insert(id);
-  AbsorbPartitions(id);
-  if (deadlines_[id] != 0) deadline_heap_.emplace(deadlines_[id], id);
+  st.pending = true;
+  slot_of_.emplace(id, s);
+  for (SymbolId rel : st.body_rels) pending_by_body_rel_[rel].insert(s);
+  AbsorbPartitions(s);
+  if (ttl_ticks != 0) {
+    st.deadline = now_ + ttl_ticks;
+    deadline_heap_.emplace(st.deadline, id);
+  }
   metrics_.match_seconds += sw.ElapsedSeconds();
 
-  if (opts_.mode == EvalMode::kIncremental) IncrementalStep(id);
+  if (opts_.mode == EvalMode::kIncremental) IncrementalStep(s);
   return id;
 }
 
-void CoordinationEngine::AbsorbPartitions(QueryId q) {
+void CoordinationEngine::Notify(Slot s) {
+  if (!callback_) return;
+  const QueryId id = IdOf(s);
+  const Slot saved = in_callback_;
+  in_callback_ = s;
+  callback_(id, outcomes_[id]);
+  in_callback_ = saved;
+}
+
+void CoordinationEngine::ReleaseRetired() {
+  for (Slot s : retired_) {
+    graph_.Release(s);  // reads the IR: before it is freed
+    for (ir::VarId v : queries_.queries[s].Variables()) used_vars_.erase(v);
+    queries_.queries[s] = EntangledQuery();
+    slots_[s] = SlotState();
+    free_slots_.push_back(s);
+  }
+  retired_.clear();
+  if (stale_deadlines_ * 2 > deadline_heap_.size()) {
+    std::vector<DeadlineEntry> live;
+    live.reserve(deadline_heap_.size() - stale_deadlines_);
+    for (const auto& [id, s] : slot_of_) {
+      if (slots_[s].deadline != 0) live.emplace_back(slots_[s].deadline, id);
+    }
+    deadline_heap_ = decltype(deadline_heap_)(std::greater<>(), std::move(live));
+    stale_deadlines_ = 0;
+  }
+}
+
+void CoordinationEngine::AbsorbPartitions(Slot q) {
   // Gather the partitions of q's live neighbours.
   std::vector<PartitionId> neighbours;
-  auto note = [&](QueryId other) {
+  auto note = [&](Slot other) {
     if (other == q) return;
-    auto it = partition_of_.find(other);
-    if (it != partition_of_.end()) neighbours.push_back(it->second);
+    PartitionId pid = slots_[other].partition;
+    if (pid != kNoPartition) neighbours.push_back(pid);
   };
   const auto& node = graph_.node(q);
   for (uint32_t id : node.out_edges) {
@@ -97,7 +141,7 @@ void CoordinationEngine::AbsorbPartitions(QueryId q) {
   if (neighbours.empty()) {
     PartitionId pid = next_partition_++;
     partitions_[pid].members.push_back(q);
-    partition_of_[q] = pid;
+    slots_[q].partition = pid;
     return;
   }
   // Merge everything into the largest neighbour partition.
@@ -110,36 +154,36 @@ void CoordinationEngine::AbsorbPartitions(QueryId q) {
   }
   for (PartitionId pid : neighbours) {
     if (pid == target) continue;
-    for (QueryId member : partitions_[pid].members) {
-      partition_of_[member] = target;
+    for (Slot member : partitions_[pid].members) {
+      slots_[member].partition = target;
       partitions_[target].members.push_back(member);
     }
     partitions_.erase(pid);
   }
   partitions_[target].members.push_back(q);
-  partition_of_[q] = target;
+  slots_[q].partition = target;
 }
 
 void CoordinationEngine::SplitPartition(PartitionId pid) {
   auto it = partitions_.find(pid);
   if (it == partitions_.end()) return;
-  std::vector<QueryId>& members = it->second.members;
+  std::vector<Slot>& members = it->second.members;
   if (members.size() <= 1) return;
 
   // BFS over live edges restricted to the member set.
-  std::unordered_map<QueryId, int> group;
+  std::unordered_map<Slot, int> group;
   int group_count = 0;
-  std::unordered_set<QueryId> member_set(members.begin(), members.end());
-  for (QueryId seed : members) {
+  std::unordered_set<Slot> member_set(members.begin(), members.end());
+  for (Slot seed : members) {
     if (group.count(seed)) continue;
     int g = group_count++;
-    std::vector<QueryId> stack{seed};
+    std::vector<Slot> stack{seed};
     group[seed] = g;
     while (!stack.empty()) {
-      QueryId u = stack.back();
+      Slot u = stack.back();
       stack.pop_back();
       const auto& node = graph_.node(u);
-      auto visit = [&](QueryId v) {
+      auto visit = [&](Slot v) {
         if (member_set.count(v) && !group.count(v)) {
           group[v] = g;
           stack.push_back(v);
@@ -157,45 +201,51 @@ void CoordinationEngine::SplitPartition(PartitionId pid) {
   }
   if (group_count <= 1) return;
 
-  std::vector<std::vector<QueryId>> buckets(group_count);
-  for (QueryId m : members) buckets[group[m]].push_back(m);
+  std::vector<std::vector<Slot>> buckets(group_count);
+  for (Slot m : members) buckets[group[m]].push_back(m);
   members = std::move(buckets[0]);
   for (int g = 1; g < group_count; ++g) {
     PartitionId fresh = next_partition_++;
-    for (QueryId m : buckets[g]) partition_of_[m] = fresh;
+    for (Slot m : buckets[g]) slots_[m].partition = fresh;
     partitions_[fresh].members = std::move(buckets[g]);
   }
 }
 
-void CoordinationEngine::Resolve(QueryId q, QueryOutcome outcome) {
-  // A query leaves the pending state exactly once; a second resolution (e.g.
-  // via a stale deadline-heap entry) must neither overwrite the recorded
-  // outcome nor re-fire the application callback.
-  if (outcomes_[q].state != QueryOutcome::State::kPending) return;
+void CoordinationEngine::Resolve(Slot q, QueryOutcome outcome) {
+  // A query leaves the pending state exactly once; a second resolution
+  // must neither overwrite the recorded outcome nor re-fire the
+  // application callback.
+  SlotState& st = slots_[q];
+  if (!st.pending) return;
+  const QueryId id = IdOf(q);
   outcome.via = wave_;
-  outcomes_[q] = std::move(outcome);
-  pending_.erase(q);
-  for (SymbolId rel : body_rels_[q]) {
+  outcomes_[id] = std::move(outcome);
+  st.pending = false;
+  slot_of_.erase(id);
+  for (SymbolId rel : st.body_rels) {
     auto it = pending_by_body_rel_.find(rel);
     if (it == pending_by_body_rel_.end()) continue;
     it->second.erase(q);
     if (it->second.empty()) pending_by_body_rel_.erase(it);
   }
-  deadlines_[q] = 0;  // eagerly invalidate any deadline-heap entry
-  if (outcomes_[q].state == QueryOutcome::State::kAnswered) {
+  if (st.deadline != 0) {
+    st.deadline = 0;
+    ++stale_deadlines_;  // its heap entry is skipped when popped
+  }
+  retired_.push_back(q);
+  if (outcomes_[id].state == QueryOutcome::State::kAnswered) {
     ++metrics_.answered;
   } else {
     ++metrics_.failed;
   }
-  if (callback_) callback_(q, outcomes_[q]);
+  Notify(q);
 }
 
-void CoordinationEngine::Retire(QueryId q) {
+void CoordinationEngine::Retire(Slot q) {
   graph_.RemoveNode(q);
-  auto it = partition_of_.find(q);
-  if (it == partition_of_.end()) return;
-  PartitionId pid = it->second;
-  partition_of_.erase(it);
+  PartitionId pid = slots_[q].partition;
+  if (pid == kNoPartition) return;
+  slots_[q].partition = kNoPartition;
   auto pit = partitions_.find(pid);
   if (pit == partitions_.end()) return;
   auto& members = pit->second.members;
@@ -208,15 +258,15 @@ void CoordinationEngine::Retire(QueryId q) {
   }
 }
 
-void CoordinationEngine::RetireAll(const std::vector<QueryId>& qs) {
+void CoordinationEngine::RetireAll(const std::vector<Slot>& qs) {
   std::unordered_set<PartitionId> touched;
-  std::unordered_set<QueryId> dead(qs.begin(), qs.end());
-  for (QueryId q : qs) {
+  std::unordered_set<Slot> dead(qs.begin(), qs.end());
+  for (Slot q : qs) {
     graph_.RemoveNode(q);
-    auto it = partition_of_.find(q);
-    if (it != partition_of_.end()) {
-      touched.insert(it->second);
-      partition_of_.erase(it);
+    PartitionId& pid = slots_[q].partition;
+    if (pid != kNoPartition) {
+      touched.insert(pid);
+      pid = kNoPartition;
     }
   }
   for (PartitionId pid : touched) {
@@ -224,7 +274,7 @@ void CoordinationEngine::RetireAll(const std::vector<QueryId>& qs) {
     if (pit == partitions_.end()) continue;
     auto& members = pit->second.members;
     members.erase(std::remove_if(members.begin(), members.end(),
-                                 [&](QueryId m) { return dead.count(m); }),
+                                 [&](Slot m) { return dead.count(m); }),
                   members.end());
     if (members.empty()) {
       partitions_.erase(pit);
@@ -234,10 +284,10 @@ void CoordinationEngine::RetireAll(const std::vector<QueryId>& qs) {
   }
 }
 
-std::vector<QueryId> CoordinationEngine::PropagateWithRepair(
-    std::vector<QueryId> members) {
+std::vector<CoordinationEngine::Slot> CoordinationEngine::PropagateWithRepair(
+    std::vector<Slot> members) {
   Matcher matcher(&graph_);
-  std::vector<QueryId> seeds = members;
+  std::vector<Slot> seeds = members;
   for (;;) {
     auto conflict = matcher.Propagate(seeds);
     if (!conflict.has_value()) break;
@@ -245,12 +295,12 @@ std::vector<QueryId> CoordinationEngine::PropagateWithRepair(
     // matched, by safety) postconditions demand incompatible values. Fail
     // it, rebuild the survivors' unifiers from the remaining edges, and
     // re-run propagation.
-    QueryId dead = *conflict;
+    Slot dead = *conflict;
     QueryOutcome outcome;
     outcome.state = QueryOutcome::State::kFailed;
     outcome.status = Status::Unsatisfiable(
         "coordination constraints admit no solution for query " +
-        std::to_string(dead));
+        std::to_string(IdOf(dead)));
     Resolve(dead, outcome);
     Retire(dead);
     members.erase(std::remove(members.begin(), members.end(), dead),
@@ -258,14 +308,15 @@ std::vector<QueryId> CoordinationEngine::PropagateWithRepair(
     bool rebuilt = false;
     while (!rebuilt) {
       rebuilt = true;
-      for (QueryId m : members) {
+      for (Slot m : members) {
         if (!graph_.node(m).alive) continue;
         if (!graph_.RecomputeUnifier(m)) {
           // Initial constraints of m alone are already contradictory.
           QueryOutcome oc;
           oc.state = QueryOutcome::State::kFailed;
           oc.status = Status::Unsatisfiable(
-              "initial unifier conflict for query " + std::to_string(m));
+              "initial unifier conflict for query " +
+              std::to_string(IdOf(m)));
           Resolve(m, oc);
           Retire(m);
           members.erase(std::remove(members.begin(), members.end(), m),
@@ -277,16 +328,16 @@ std::vector<QueryId> CoordinationEngine::PropagateWithRepair(
     }
     seeds = members;
   }
-  std::vector<QueryId> alive;
-  for (QueryId m : members) {
+  std::vector<Slot> alive;
+  for (Slot m : members) {
     if (graph_.node(m).alive) alive.push_back(m);
   }
   return alive;
 }
 
 bool CoordinationEngine::PartitionReady(
-    const std::vector<QueryId>& members) const {
-  for (QueryId m : members) {
+    const std::vector<Slot>& members) const {
+  for (Slot m : members) {
     const auto& node = graph_.node(m);
     if (!node.alive || node.init_conflict || !node.AllPcsMatched()) {
       return false;
@@ -295,10 +346,10 @@ bool CoordinationEngine::PartitionReady(
   return !members.empty();
 }
 
-bool CoordinationEngine::EvaluateMembers(const std::vector<QueryId>& members,
+bool CoordinationEngine::EvaluateMembers(const std::vector<Slot>& members,
                                          bool fail_on_no_data) {
   auto fail_all = [&](const Status& st) {
-    for (QueryId m : members) {
+    for (Slot m : members) {
       QueryOutcome outcome;
       outcome.state = QueryOutcome::State::kFailed;
       outcome.status = st;
@@ -317,7 +368,7 @@ bool CoordinationEngine::EvaluateMembers(const std::vector<QueryId>& members,
   }
 
   size_t k = 1;
-  for (QueryId m : members) {
+  for (Slot m : members) {
     k = std::max(k, static_cast<size_t>(queries_.queries[m].choose_k));
   }
   // With a preference function, over-sample candidate outcomes and rank
@@ -341,7 +392,8 @@ bool CoordinationEngine::EvaluateMembers(const std::vector<QueryId>& members,
     for (size_t a = 0; a < answers->size(); ++a) {
       double total = 0;
       for (size_t i = 0; i < cq->members.size(); ++i) {
-        total += opts_.preference(cq->members[i], (*answers)[a].answers[i]);
+        total += opts_.preference(IdOf(cq->members[i]),
+                                  (*answers)[a].answers[i]);
       }
       scored.emplace_back(total, a);
     }
@@ -368,7 +420,7 @@ bool CoordinationEngine::EvaluateMembers(const std::vector<QueryId>& members,
   // Scatter: member i of cq->members receives its ground head atoms from
   // the first choose_k coordinated outcomes.
   for (size_t i = 0; i < cq->members.size(); ++i) {
-    QueryId m = cq->members[i];
+    Slot m = cq->members[i];
     size_t want = static_cast<size_t>(queries_.queries[m].choose_k);
     QueryOutcome outcome;
     outcome.state = QueryOutcome::State::kAnswered;
@@ -382,13 +434,13 @@ bool CoordinationEngine::EvaluateMembers(const std::vector<QueryId>& members,
   return true;
 }
 
-void CoordinationEngine::IncrementalStep(QueryId q) {
-  if (!pending_.count(q)) return;
+void CoordinationEngine::IncrementalStep(Slot q) {
+  if (!slots_[q].pending) return;
   Stopwatch sw;
-  std::vector<QueryId> seeds;
+  std::vector<Slot> seeds;
   if (opts_.rematch == IncrementalRematch::kFullPartition) {
     // Paper-faithful: continue matching over the whole partition state.
-    seeds = partitions_.at(partition_of_.at(q)).members;
+    seeds = partitions_.at(slots_[q].partition).members;
   } else {
     // Delta seeding: the new query plus the successors whose unifiers its
     // edges tightened at insertion.
@@ -403,18 +455,16 @@ void CoordinationEngine::IncrementalStep(QueryId q) {
   metrics_.match_seconds += sw.ElapsedSeconds();
   if (conflict.has_value()) {
     Stopwatch repair_sw;
-    PartitionId pid = partition_of_.at(q);
-    std::vector<QueryId> members = partitions_.at(pid).members;
+    PartitionId pid = slots_[q].partition;
+    std::vector<Slot> members = partitions_.at(pid).members;
     PropagateWithRepair(std::move(members));
     metrics_.match_seconds += repair_sw.ElapsedSeconds();
   }
 
   // The conflicted query might have been q itself.
-  auto pit = partition_of_.find(q);
-  if (pit == partition_of_.end()) {
-    return;
-  }
-  const std::vector<QueryId> members = partitions_.at(pit->second).members;
+  if (slots_[q].partition == kNoPartition) return;
+  const std::vector<Slot> members =
+      partitions_.at(slots_[q].partition).members;
   if (PartitionReady(members)) {
     ++metrics_.partitions_evaluated;
     EvaluateMembers(members, /*fail_on_no_data=*/false);
@@ -422,19 +472,15 @@ void CoordinationEngine::IncrementalStep(QueryId q) {
 }
 
 void CoordinationEngine::ResolveComponentBatch(
-    const std::vector<QueryId>& component) {
-  Stopwatch sw;
-  Matcher matcher(&graph_);
-  auto survivors = matcher.MatchComponent(component);
-  metrics_.match_seconds += sw.ElapsedSeconds();
-  std::unordered_set<QueryId> alive(survivors.begin(), survivors.end());
-  std::vector<QueryId> losers;
-  for (QueryId m : component) {
-    if (alive.count(m) || !pending_.count(m)) continue;
+    const std::vector<Slot>& component, std::vector<Slot> survivors) {
+  std::unordered_set<Slot> alive(survivors.begin(), survivors.end());
+  std::vector<Slot> losers;
+  for (Slot m : component) {
+    if (alive.count(m) || !slots_[m].pending) continue;
     QueryOutcome outcome;
     outcome.state = QueryOutcome::State::kFailed;
     outcome.status =
-        Status::Unsatisfiable("query " + std::to_string(m) +
+        Status::Unsatisfiable("query " + std::to_string(IdOf(m)) +
                               " has no coordination partners in the batch");
     Resolve(m, outcome);
     losers.push_back(m);
@@ -442,93 +488,84 @@ void CoordinationEngine::ResolveComponentBatch(
   RetireAll(losers);
   if (!survivors.empty()) {
     ++metrics_.partitions_evaluated;
+    // Resolution order follows the ids, not the slots.
+    std::sort(survivors.begin(), survivors.end(),
+              [this](Slot a, Slot b) { return IdOf(a) < IdOf(b); });
     EvaluateMembers(survivors, /*fail_on_no_data=*/true);
   }
 }
 
 Status CoordinationEngine::Flush() {
-  WaveScope wave(&wave_, QueryOutcome::Via::kFlush);
-  // Snapshot the partitions that still hold pending queries.
-  std::vector<std::vector<QueryId>> components;
-  components.reserve(partitions_.size());
+  WaveScope wave(this, QueryOutcome::Via::kFlush);
+  // Snapshot the partitions that still hold pending queries, each keyed by
+  // its smallest member id for a deterministic order.
+  std::vector<std::pair<QueryId, std::vector<Slot>>> keyed;
+  keyed.reserve(partitions_.size());
   for (const auto& [pid, part] : partitions_) {
-    if (!part.members.empty()) components.push_back(part.members);
+    if (part.members.empty()) continue;
+    QueryId first = IdOf(part.members[0]);
+    for (Slot m : part.members) first = std::min(first, IdOf(m));
+    keyed.emplace_back(first, part.members);
   }
-  // Deterministic order: by smallest member.
-  std::sort(components.begin(), components.end(),
-            [](const auto& a, const auto& b) {
-              return *std::min_element(a.begin(), a.end()) <
-                     *std::min_element(b.begin(), b.end());
-            });
+  std::sort(keyed.begin(), keyed.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
 
-  if (opts_.worker_threads > 1 && components.size() > 1) {
-    // Parallel phase: batch matching per component on the pool. Matching
-    // touches only component-local graph state (§4.1.2 independence), so
-    // components can run concurrently; outcome resolution (callbacks,
-    // partition bookkeeping) stays on this thread.
-    struct TaskResult {
-      std::vector<QueryId> survivors;
-      double match_seconds = 0;
-    };
-    std::vector<TaskResult> results(components.size());
-    {
-      ThreadPool pool(opts_.worker_threads);
-      for (size_t i = 0; i < components.size(); ++i) {
-        pool.Submit([this, &components, &results, i] {
-          Stopwatch sw;
-          Matcher matcher(&graph_);
-          results[i].survivors = matcher.MatchComponent(components[i]);
-          results[i].match_seconds = sw.ElapsedSeconds();
-        });
-      }
-      pool.Wait();
+  // Batch matching per component. Matching touches only component-local
+  // graph state (§4.1.2 independence), so with worker threads every
+  // component is matched concurrently on the pool first; resolution
+  // (callbacks, partition bookkeeping) always runs on this thread.
+  struct Matched {
+    std::vector<Slot> survivors;
+    double match_seconds = 0;
+  };
+  std::vector<Matched> matched(keyed.size());
+  auto match = [this, &keyed, &matched](size_t i) {
+    Stopwatch sw;
+    Matcher matcher(&graph_);
+    matched[i].survivors = matcher.MatchComponent(keyed[i].second);
+    matched[i].match_seconds = sw.ElapsedSeconds();
+  };
+  const bool parallel = opts_.worker_threads > 1 && keyed.size() > 1;
+  if (parallel) {
+    ThreadPool pool(opts_.worker_threads);
+    for (size_t i = 0; i < keyed.size(); ++i) {
+      pool.Submit([&match, i] { match(i); });
     }
-    for (size_t i = 0; i < components.size(); ++i) {
-      metrics_.match_seconds += results[i].match_seconds;
-      std::unordered_set<QueryId> alive(results[i].survivors.begin(),
-                                        results[i].survivors.end());
-      std::vector<QueryId> losers;
-      for (QueryId m : components[i]) {
-        if (alive.count(m) || !pending_.count(m)) continue;
-        QueryOutcome outcome;
-        outcome.state = QueryOutcome::State::kFailed;
-        outcome.status = Status::Unsatisfiable(
-            "query " + std::to_string(m) +
-            " has no coordination partners in the batch");
-        Resolve(m, outcome);
-        losers.push_back(m);
-      }
-      RetireAll(losers);
-      if (!results[i].survivors.empty()) {
-        ++metrics_.partitions_evaluated;
-        EvaluateMembers(results[i].survivors, /*fail_on_no_data=*/true);
-      }
-    }
-  } else {
-    for (const auto& component : components) {
-      ResolveComponentBatch(component);
-    }
+    pool.Wait();
+  }
+  for (size_t i = 0; i < keyed.size(); ++i) {
+    if (!parallel) match(i);
+    metrics_.match_seconds += matched[i].match_seconds;
+    ResolveComponentBatch(keyed[i].second, std::move(matched[i].survivors));
   }
   return Status::OK();
 }
 
 void CoordinationEngine::AdvanceTime(uint64_t now) {
-  WaveScope wave(&wave_, QueryOutcome::Via::kTick);
+  WaveScope wave(this, QueryOutcome::Via::kTick);
   now_ = std::max(now_, now);
   std::vector<PartitionId> affected;
   while (!deadline_heap_.empty() && deadline_heap_.top().first <= now_) {
-    auto [deadline, q] = deadline_heap_.top();
+    const QueryId id = deadline_heap_.top().second;
     deadline_heap_.pop();
     // Lazy invalidation: skip entries for queries that were resolved since
-    // (Resolve zeroes deadlines_[q]) — expiring through a stale entry would
-    // double-fire the callback of an already-answered query.
-    if (!pending_.count(q) || deadlines_[q] != deadline) continue;
+    // — expiring through a stale entry would double-fire the callback of an
+    // already-answered query. Ids are never reused, so a pending id is
+    // exactly the query the entry was pushed for.
+    auto it = slot_of_.find(id);
+    if (it == slot_of_.end()) {
+      --stale_deadlines_;
+      continue;
+    }
+    const Slot q = it->second;
     ++metrics_.expired;
-    auto it = partition_of_.find(q);
-    if (it != partition_of_.end()) affected.push_back(it->second);
+    if (slots_[q].partition != kNoPartition) {
+      affected.push_back(slots_[q].partition);
+    }
+    slots_[q].deadline = 0;  // its entry is popped, not stale
     QueryOutcome outcome;
     outcome.state = QueryOutcome::State::kFailed;
-    outcome.status = Status::Timeout("query " + std::to_string(q) +
+    outcome.status = Status::Timeout("query " + std::to_string(id) +
                                      " went stale before coordinating");
     Resolve(q, outcome);
     // Retiring may split the partition; new partition ids are allocated
@@ -545,22 +582,25 @@ void CoordinationEngine::AdvanceTime(uint64_t now) {
   }
 }
 
-Status CoordinationEngine::Cancel(ir::QueryId q) {
-  if (q >= outcomes_.size()) {
-    return Status::NotFound("no query with id " + std::to_string(q));
+Status CoordinationEngine::Cancel(ir::QueryId id) {
+  if (id >= outcomes_.size()) {
+    return Status::NotFound("no query with id " + std::to_string(id));
   }
-  if (!pending_.count(q)) {
-    return Status::NotFound("query " + std::to_string(q) +
+  auto it = slot_of_.find(id);
+  if (it == slot_of_.end()) {
+    return Status::NotFound("query " + std::to_string(id) +
                             " is not pending (already resolved?)");
   }
-  WaveScope wave(&wave_, QueryOutcome::Via::kCancel);
+  const Slot q = it->second;
+  WaveScope wave(this, QueryOutcome::Via::kCancel);
   ++metrics_.cancelled;
   std::vector<PartitionId> affected;
-  auto it = partition_of_.find(q);
-  if (it != partition_of_.end()) affected.push_back(it->second);
+  if (slots_[q].partition != kNoPartition) {
+    affected.push_back(slots_[q].partition);
+  }
   QueryOutcome outcome;
   outcome.state = QueryOutcome::State::kFailed;
-  outcome.status = Status::Cancelled("query " + std::to_string(q) +
+  outcome.status = Status::Cancelled("query " + std::to_string(id) +
                                      " was withdrawn by its submitter");
   Resolve(q, std::move(outcome));
   // Retiring may split the partition; re-check the fragments too (same
@@ -578,7 +618,7 @@ Status CoordinationEngine::Cancel(ir::QueryId q) {
 
 WakeupResult CoordinationEngine::NotifyDataArrival(
     const std::vector<SymbolId>& rels) {
-  WaveScope wave(&wave_, QueryOutcome::Via::kWakeup);
+  WaveScope wave(this, QueryOutcome::Via::kWakeup);
   WakeupResult res;
   // The partitions a write could affect: those holding a pending query
   // whose body reads one of the touched relations.
@@ -586,9 +626,10 @@ WakeupResult CoordinationEngine::NotifyDataArrival(
   for (SymbolId rel : rels) {
     auto it = pending_by_body_rel_.find(rel);
     if (it == pending_by_body_rel_.end()) continue;
-    for (QueryId q : it->second) {
-      auto pit = partition_of_.find(q);
-      if (pit != partition_of_.end()) affected.push_back(pit->second);
+    for (Slot q : it->second) {
+      if (slots_[q].partition != kNoPartition) {
+        affected.push_back(slots_[q].partition);
+      }
     }
   }
   std::sort(affected.begin(), affected.end());
@@ -607,15 +648,16 @@ WakeupResult CoordinationEngine::NotifyDataArrival(
     // exactly as in incremental mode (they would fail at flush anyway);
     // queries whose partners have not arrived simply stay unmatched.
     Stopwatch sw;
-    std::vector<QueryId> alive = PropagateWithRepair(pit->second.members);
+    std::vector<Slot> alive = PropagateWithRepair(pit->second.members);
     metrics_.match_seconds += sw.ElapsedSeconds();
     // Repair may have split the partition: re-examine every fragment the
     // survivors landed in — ready ones answer, "no data yet" keeps
     // members pending for the next write (or the flush).
     std::vector<PartitionId> fragments;
-    for (QueryId q : alive) {
-      auto fit = partition_of_.find(q);
-      if (fit != partition_of_.end()) fragments.push_back(fit->second);
+    for (Slot q : alive) {
+      if (slots_[q].partition != kNoPartition) {
+        fragments.push_back(slots_[q].partition);
+      }
     }
     ReexaminePartitions(std::move(fragments));
   }
@@ -642,13 +684,38 @@ const char* ViaName(QueryOutcome::Via via) {
 }
 
 std::vector<QueryId> CoordinationEngine::partition_members(QueryId q) const {
-  auto it = partition_of_.find(q);
-  if (it == partition_of_.end()) return {};
-  auto pit = partitions_.find(it->second);
+  auto it = slot_of_.find(q);
+  if (it == slot_of_.end()) return {};
+  auto pit = partitions_.find(slots_[it->second].partition);
   if (pit == partitions_.end()) return {};
-  std::vector<QueryId> members = pit->second.members;
+  std::vector<QueryId> members;
+  members.reserve(pit->second.members.size());
+  for (Slot m : pit->second.members) members.push_back(IdOf(m));
   std::sort(members.begin(), members.end());
   return members;
+}
+
+const std::vector<SymbolId>& CoordinationEngine::body_relations(
+    QueryId q) const {
+  static const std::vector<SymbolId> kNone;
+  if (in_callback_ != kNoSlot && IdOf(in_callback_) == q) {
+    return slots_[in_callback_].body_rels;
+  }
+  auto it = slot_of_.find(q);
+  return it == slot_of_.end() ? kNone : slots_[it->second].body_rels;
+}
+
+EngineFootprint CoordinationEngine::footprint() const {
+  EngineFootprint f;
+  f.slots_free = free_slots_.size();
+  f.slots_in_use = slots_.size() - f.slots_free;
+  f.index_entries = graph_.index_entry_count();
+  f.edges_free = graph_.free_edge_count();
+  f.edges_in_use = graph_.edge_count() - f.edges_free;
+  f.tracked_variables = used_vars_.size();
+  f.outcomes = outcomes_.size();
+  f.awaiting_release = retired_.size();
+  return f;
 }
 
 void CoordinationEngine::ReexaminePartitions(
@@ -661,7 +728,7 @@ void CoordinationEngine::ReexaminePartitions(
   for (PartitionId pid : affected) {
     auto pit = partitions_.find(pid);
     if (pit == partitions_.end()) continue;
-    const std::vector<QueryId> members = pit->second.members;
+    const std::vector<Slot> members = pit->second.members;
     if (PartitionReady(members)) {
       ++metrics_.partitions_evaluated;
       EvaluateMembers(members, /*fail_on_no_data=*/false);

@@ -12,6 +12,7 @@
 #include "core/matcher.h"
 #include "core/unifiability_graph.h"
 #include "db/snapshot.h"
+#include "engine/footprint.h"
 #include "ir/query.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
@@ -126,6 +127,16 @@ struct EngineMetrics {
 /// Staleness (§5.1): Submit accepts a TTL in logical ticks; AdvanceTime()
 /// expires overdue pending queries with a Timeout outcome.
 ///
+/// Query lifetime: ids are dense, in submission order, and never reused;
+/// outcome(q) stays valid for every submitted id (the outcome log is the
+/// one per-submission record). Everything else the engine keeps for a
+/// query (IR, graph node, index entries, body relations, deadline,
+/// partition membership, variables) lives in a recycled slot while the
+/// query is pending. A resolved query is retired from matching at once and
+/// released, slot and all, at the start of the next Submit or at the end
+/// of any entry point other than Flush — never inside Flush, whose pool
+/// matches components concurrently over the shared graph.
+///
 /// Thread model: the public API must be called from one thread; internal
 /// parallelism is confined to Flush.
 class CoordinationEngine {
@@ -153,10 +164,10 @@ class CoordinationEngine {
   /// The snapshot currently evaluated against.
   const db::Snapshot& snapshot() const { return db_; }
 
-  /// Registers a query built against this engine's QueryContext. Variables
-  /// must be fresh (never used by a previously submitted query); use
-  /// ir::RenameApart to instantiate templates. ttl_ticks = 0 means the
-  /// query never goes stale.
+  /// Registers a query built against this engine's QueryContext. Its
+  /// variables must not be used by a pending query; use ir::RenameApart to
+  /// instantiate templates. ttl_ticks = 0 means the query never goes
+  /// stale. Ids are dense and in submission order (see next_id()).
   Result<ir::QueryId> Submit(ir::EntangledQuery query, uint64_t ttl_ticks = 0);
 
   /// Resolves all pending queries set-at-a-time. In incremental mode this
@@ -179,12 +190,10 @@ class CoordinationEngine {
   /// AdoptSnapshot.
   WakeupResult NotifyDataArrival(const std::vector<SymbolId>& rels);
 
-  /// The database relations `q`'s body reads (sorted, unique). Valid for
-  /// any submitted id; the service layer mirrors this into its
-  /// relation→shard wake-up index.
-  const std::vector<SymbolId>& body_relations(ir::QueryId q) const {
-    return body_rels_[q];
-  }
+  /// The database relations `q`'s body reads (sorted, unique). Valid while
+  /// q is pending and inside its callback; empty otherwise. The service
+  /// layer mirrors this into its relation→shard wake-up index.
+  const std::vector<SymbolId>& body_relations(ir::QueryId q) const;
 
   /// The pending members of q's coordination partition (including q
   /// itself), sorted; empty when q is not pending. Introspection hook: the
@@ -211,48 +220,85 @@ class CoordinationEngine {
     opts_.preference = std::move(preference);
   }
 
+  /// Valid for any submitted id.
   const QueryOutcome& outcome(ir::QueryId q) const { return outcomes_[q]; }
-  size_t pending_count() const { return pending_.size(); }
+  /// The id the next successful Submit returns.
+  ir::QueryId next_id() const {
+    return static_cast<ir::QueryId>(outcomes_.size());
+  }
+  size_t pending_count() const { return slot_of_.size(); }
   const EngineMetrics& metrics() const { return metrics_; }
-  const ir::QuerySet& queries() const { return queries_; }
+  EngineFootprint footprint() const;
 
  private:
+  /// A position in queries_ and slots_, held by one query from its Submit
+  /// until its release, then reused. Core (graph, matcher, combiner) sees
+  /// only slots; each slot's IR carries the external id in its `id` field.
+  using Slot = ir::QueryId;
+  using PartitionId = uint32_t;
+  static constexpr PartitionId kNoPartition = UINT32_MAX;
+  static constexpr Slot kNoSlot = ir::kInvalidQuery;
+
+  /// What the engine keeps for the query in one slot, beside its IR and
+  /// graph node.
+  struct SlotState {
+    bool pending = false;
+    uint64_t deadline = 0;            // 0 = none
+    std::vector<SymbolId> body_rels;  // sorted, unique
+    PartitionId partition = kNoPartition;
+  };
+
   struct Partition {
-    std::vector<ir::QueryId> members;  // pending members only
+    std::vector<Slot> members;  // pending members only
   };
 
   /// Scoped marker for the resolution wave: every public entry point that
   /// can resolve queries sets it on entry, and Resolve() stamps the active
   /// wave into the outcome. Save/restore so nested evaluation (e.g. the
-  /// incremental step inside Submit) keeps the outermost trigger.
+  /// incremental step inside Submit) keeps the outermost trigger. Leaving
+  /// an outermost wave other than a flush releases what it retired.
   class WaveScope {
    public:
-    WaveScope(QueryOutcome::Via* slot, QueryOutcome::Via via)
-        : slot_(slot), saved_(*slot) {
-      *slot_ = via;
+    WaveScope(CoordinationEngine* engine, QueryOutcome::Via via)
+        : engine_(engine), via_(via), saved_(engine->wave_) {
+      engine_->wave_ = via;
     }
-    ~WaveScope() { *slot_ = saved_; }
+    ~WaveScope() {
+      engine_->wave_ = saved_;
+      if (saved_ == QueryOutcome::Via::kNone &&
+          via_ != QueryOutcome::Via::kFlush) {
+        engine_->ReleaseRetired();
+      }
+    }
     WaveScope(const WaveScope&) = delete;
     WaveScope& operator=(const WaveScope&) = delete;
 
    private:
-    QueryOutcome::Via* slot_;
+    CoordinationEngine* engine_;
+    QueryOutcome::Via via_;
     QueryOutcome::Via saved_;
   };
 
-  using PartitionId = uint32_t;
+  ir::QueryId IdOf(Slot s) const { return queries_.queries[s].id; }
+
+  /// Fires the callback for the resolved query in slot `s`.
+  void Notify(Slot s);
+
+  /// Frees every retired slot for reuse: graph node and index entries, IR,
+  /// variables. Runs only on the engine thread, outside Flush.
+  void ReleaseRetired();
 
   /// Merges the partitions of `q` and all its live graph neighbours.
-  void AbsorbPartitions(ir::QueryId q);
+  void AbsorbPartitions(Slot q);
 
   /// Re-splits a partition whose member set shrank (BFS over live edges).
   void SplitPartition(PartitionId pid);
 
   /// Marks a query resolved and notifies the application.
-  void Resolve(ir::QueryId q, QueryOutcome outcome);
+  void Resolve(Slot q, QueryOutcome outcome);
 
   /// Removes a resolved query from graph/partition bookkeeping.
-  void Retire(ir::QueryId q);
+  void Retire(Slot q);
 
   /// Incremental mode: evaluates any of `affected` partitions whose members
   /// all became fully matched after a removal (expiry / cancellation).
@@ -261,65 +307,74 @@ class CoordinationEngine {
   /// Bulk Retire: one partition fix-up per touched partition instead of a
   /// scan-and-split per query (a whole component retires together when it
   /// is answered or rejected, so this is the hot path of Flush).
-  void RetireAll(const std::vector<ir::QueryId>& qs);
+  void RetireAll(const std::vector<Slot>& qs);
 
   /// Incremental step: propagate in q's partition, handling conflicts by
   /// failing the conflicted query and rebuilding, then evaluate the
   /// partition if every member is fully matched.
-  void IncrementalStep(ir::QueryId q);
+  void IncrementalStep(Slot q);
 
   /// Repeatedly runs propagation over `members`; on conflict fails the
   /// conflicted query, removes it, recomputes the survivors' unifiers and
-  /// retries. Returns the ids still alive.
-  std::vector<ir::QueryId> PropagateWithRepair(
-      std::vector<ir::QueryId> members);
+  /// retries. Returns the members still alive.
+  std::vector<Slot> PropagateWithRepair(std::vector<Slot> members);
 
   /// True iff every live member has all postconditions matched.
-  bool PartitionReady(const std::vector<ir::QueryId>& members) const;
+  bool PartitionReady(const std::vector<Slot>& members) const;
 
   /// Combines + evaluates a fully matched member set; resolves all members
   /// (answered, or failed when no global MGU / no data in set-at-a-time).
   /// In incremental mode, "no data" leaves members pending and returns
   /// false. Returns true when the members were resolved.
-  bool EvaluateMembers(const std::vector<ir::QueryId>& members,
+  bool EvaluateMembers(const std::vector<Slot>& members,
                        bool fail_on_no_data);
 
-  /// Set-at-a-time resolution of one component (runs on the pool): batch
-  /// matching, failing non-survivors, then evaluation. Outcome writes are
-  /// confined to this component's queries.
-  void ResolveComponentBatch(const std::vector<ir::QueryId>& component);
+  /// Set-at-a-time resolution of one matched component: fails the members
+  /// batch matching did not keep, then evaluates the survivors.
+  void ResolveComponentBatch(const std::vector<Slot>& component,
+                             std::vector<Slot> survivors);
 
   ir::QueryContext* ctx_;
   db::Snapshot db_;
   EngineOptions opts_;
 
-  ir::QuerySet queries_;
+  /// By id: the one per-submission record.
   std::vector<QueryOutcome> outcomes_;
-  std::vector<uint64_t> deadlines_;  // 0 = none
-  /// Per query: the database relations its body reads (sorted, unique).
-  std::vector<std::vector<SymbolId>> body_rels_;
-  std::unordered_set<ir::QueryId> pending_;
+
+  /// By slot: the IR (`id` = external id) and the rest of the query's
+  /// state. Both only grow to the most queries held at once.
+  ir::QuerySet queries_;
+  std::vector<SlotState> slots_;
+  std::vector<Slot> free_slots_;
+  /// Slots resolved since the last release.
+  std::vector<Slot> retired_;
+  /// Pending ids only.
+  std::unordered_map<ir::QueryId, Slot> slot_of_;
+  /// The slot whose callback is running (body_relations stays valid).
+  Slot in_callback_ = kNoSlot;
+  /// Variables of the queries in held slots.
   std::unordered_set<ir::VarId> used_vars_;
 
-  /// Wake-up index: body relation → pending queries reading it. Entries
+  /// Wake-up index: body relation → pending slots reading it. Entries
   /// live exactly as long as the query is pending (inserted on Submit,
   /// erased in Resolve), so NotifyDataArrival touches only partitions a
   /// write could actually affect.
-  std::unordered_map<SymbolId, std::unordered_set<ir::QueryId>>
-      pending_by_body_rel_;
+  std::unordered_map<SymbolId, std::unordered_set<Slot>> pending_by_body_rel_;
 
   core::UnifiabilityGraph graph_;
   core::Combiner combiner_;
 
-  std::unordered_map<ir::QueryId, PartitionId> partition_of_;
   std::unordered_map<PartitionId, Partition> partitions_;
   PartitionId next_partition_ = 0;
 
-  // Staleness: min-heap of (deadline, query), lazily invalidated.
+  // Staleness: min-heap of (deadline, id). Entries of resolved queries are
+  // skipped when popped, and dropped by a rebuild once they are half the
+  // heap, so the heap stays bounded by the pending queries.
   using DeadlineEntry = std::pair<uint64_t, ir::QueryId>;
   std::priority_queue<DeadlineEntry, std::vector<DeadlineEntry>,
                       std::greater<>>
       deadline_heap_;
+  size_t stale_deadlines_ = 0;
   uint64_t now_ = 0;
 
   /// The resolution wave currently executing (see WaveScope).

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "client/query.h"
+#include "engine/footprint.h"
 #include "ir/query.h"
 #include "service/metrics.h"
 #include "service/ticket.h"
@@ -52,6 +53,8 @@ struct ServiceStateDump {
     /// yet adopted by this shard.
     uint64_t snapshot_lag = 0;
     double drain_ops_per_sec = 0;
+    /// What the shard's engine holds (see engine::EngineFootprint).
+    engine::EngineFootprint footprint;
     std::vector<PendingQuery> pending;  ///< sorted by ticket
   };
 

@@ -580,6 +580,7 @@ ServiceStateDump CoordinationService::DumpState() const {
                           ? dump.storage_version - src.snapshot_version
                           : 0;
     st.drain_ops_per_sec = src.drain_ops_per_sec;
+    st.footprint = src.footprint;
     st.pending.reserve(src.pending.size());
     for (const ShardStateDump::PendingQuery& p : src.pending) {
       ServiceStateDump::PendingQuery q;
@@ -636,6 +637,15 @@ std::string ServiceStateDump::ToString() const {
                   (unsigned long long)s.snapshot_version,
                   (unsigned long long)s.snapshot_lag, s.drain_ops_per_sec,
                   s.pending.size());
+    out += line;
+    const engine::EngineFootprint& f = s.footprint;
+    std::snprintf(line, sizeof(line),
+                  "    engine: slots=%zu (+%zu free) index_entries=%zu "
+                  "edges=%zu (+%zu free) variables=%zu outcomes=%zu "
+                  "awaiting_release=%zu\n",
+                  f.slots_in_use, f.slots_free, f.index_entries,
+                  f.edges_in_use, f.edges_free, f.tracked_variables,
+                  f.outcomes, f.awaiting_release);
     out += line;
     for (const PendingQuery& p : s.pending) {
       std::snprintf(line, sizeof(line),

@@ -204,6 +204,7 @@ void ShardRunner::FillStateDump(ShardStateDump* dump) {
   dump->snapshot_version = engine_->snapshot().version();
   dump->drain_ops_per_sec =
       stats_.drain_ops_per_sec.load(std::memory_order_relaxed);
+  dump->footprint = engine_->footprint();
   auto now = std::chrono::steady_clock::now();
   dump->pending.reserve(inflight_.size());
   for (const auto& [qid, info] : inflight_) {
@@ -331,8 +332,7 @@ void ShardRunner::HandleSubmit(Op& op) {
   // successful Submit, so the next id is known here — which lets the
   // per-query preference spec be visible to the preference function even
   // when coordination fires inside Submit (incremental mode).
-  ir::QueryId predicted =
-      static_cast<ir::QueryId>(engine_->queries().queries.size());
+  ir::QueryId predicted = engine_->next_id();
   if (op.preference.active()) {
     EnsurePreferenceInstalled();
     pref_of_qid_[predicted] = op.preference;

@@ -110,6 +110,7 @@ struct ShardStateDump {
   size_t queue_depth = 0;        ///< ops queued behind the dump op
   uint64_t snapshot_version = 0; ///< what the engine evaluates against
   double drain_ops_per_sec = 0;  ///< recent op-drain EWMA
+  engine::EngineFootprint footprint;  ///< what the engine holds
   std::vector<PendingQuery> pending;  ///< sorted by ticket
 };
 

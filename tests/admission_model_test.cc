@@ -132,8 +132,11 @@ TEST_P(AdmissionModelTest, GraphAdmissionMatchesSafetyChecker) {
   CoordinationEngine engine(&ctx, &db, opts);
 
   // The reference checker follows the engine's live set: a query enters on
-  // admission and leaves when the engine resolves it.
-  core::SafetyChecker oracle(&engine.queries());
+  // admission and leaves when the engine resolves it. It reads its own copy
+  // of every submitted query (the engine frees a query once it resolves),
+  // kept at the position of the query's id.
+  ir::QuerySet submitted;
+  core::SafetyChecker oracle(&submitted);
   std::vector<QueryId> resolved;
   engine.SetCallback([&resolved](QueryId q, const QueryOutcome&) {
     resolved.push_back(q);
@@ -154,9 +157,14 @@ TEST_P(AdmissionModelTest, GraphAdmissionMatchesSafetyChecker) {
         SCOPED_TRACE(text);
         auto parsed = parser.ParseQuery(text);
         ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+        ir::EntangledQuery copy = *parsed;
         uint64_t ttl = rng.Chance(0.5) ? 0 : rng.Range(1, 6);
         auto id = engine.Submit(std::move(*parsed), ttl);
         ASSERT_TRUE(id.ok()) << id.status().ToString();
+        // Ids are dense and in submission order.
+        ASSERT_EQ(*id, submitted.queries.size());
+        copy.id = *id;
+        submitted.queries.push_back(std::move(copy));
         // The oracle judges against the live set before this submission's
         // own resolutions (Submit admits first, then may answer).
         Status want = oracle.Admit(*id);
@@ -178,7 +186,7 @@ TEST_P(AdmissionModelTest, GraphAdmissionMatchesSafetyChecker) {
       }
     } else if (roll < 80) {
       std::vector<QueryId> pending;
-      for (QueryId q = 0; q < engine.queries().queries.size(); ++q) {
+      for (QueryId q = 0; q < submitted.queries.size(); ++q) {
         if (engine.outcome(q).state == QueryOutcome::State::kPending) {
           pending.push_back(q);
         }

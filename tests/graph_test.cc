@@ -72,6 +72,47 @@ TEST_F(AtomIndexTest, DifferentRelationsNeverCandidates) {
 
 // Property: the candidate set is always a superset of the truly unifiable
 // atoms (the index may over-approximate, never under-approximate).
+TEST_F(AtomIndexTest, RemoveCompactsAtHalfDeadAndErasesEmptyLists) {
+  const Atom a0 = MakeAtom("R", {C("A"), V()});
+  const Atom a1 = MakeAtom("R", {C("B"), V()});
+  const Atom a2 = MakeAtom("R", {C("A"), V()});
+  index_.Add(AtomRef{0, 0}, a0);
+  index_.Add(AtomRef{1, 0}, a1);
+  index_.Add(AtomRef{2, 0}, a2);
+  // Per atom: the relation's list plus one list per argument position.
+  EXPECT_EQ(index_.entry_count(), 9u);
+  std::set<QueryId> dead;
+  auto stale = [&](const AtomRef& r) { return dead.count(r.query) > 0; };
+  auto candidates = [&](const Atom& probe) {
+    std::vector<AtomRef> cands;
+    index_.Candidates(probe, &cands);
+    std::set<QueryId> out;
+    for (const AtomRef& r : cands) out.insert(r.query);
+    return out;
+  };
+
+  // Only (R, 0, A) is half dead: it alone is compacted.
+  dead.insert(0);
+  index_.Remove(a0, stale);
+  EXPECT_EQ(index_.entry_count(), 8u);
+  EXPECT_EQ(candidates(MakeAtom("R", {C("A"), C("x")})),
+            (std::set<QueryId>{2}));
+  EXPECT_EQ(candidates(MakeAtom("R", {V(), V()})),
+            (std::set<QueryId>{0, 1, 2}));  // dead 0 still listed
+
+  // Now every list holding 0 or 1 is at least half dead.
+  dead.insert(1);
+  index_.Remove(a1, stale);
+  EXPECT_EQ(index_.entry_count(), 3u);
+  EXPECT_EQ(candidates(MakeAtom("R", {V(), V()})), (std::set<QueryId>{2}));
+  EXPECT_TRUE(candidates(MakeAtom("R", {C("B"), V()})).empty());
+
+  dead.insert(2);
+  index_.Remove(a2, stale);
+  EXPECT_EQ(index_.entry_count(), 0u);
+  EXPECT_TRUE(candidates(MakeAtom("R", {V(), V()})).empty());
+}
+
 class AtomIndexPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(AtomIndexPropertyTest, CandidatesAreSupersetOfUnifiable) {
@@ -284,6 +325,57 @@ TEST_F(GraphTest, AddQueryRejectsDuplicatesAndBadIds) {
   ASSERT_TRUE(g.AddQuery(0).ok());
   EXPECT_EQ(g.AddQuery(0).code(), StatusCode::kAlreadyExists);
   EXPECT_EQ(g.AddQuery(7).code(), StatusCode::kInvalidArgument);
+}
+
+TEST_F(GraphTest, ReleasedPositionIsReusedWithoutStaleMatches) {
+  QuerySet pool = Parse(
+      "{} R(L1, x) :- B(x);"
+      "{} R(L2, x) :- B(x);"
+      "{} R(P, x) :- B(x);"
+      "{} R(Q, x) :- B(x);"
+      "{R(w, z)} S(X, z) :- B(z)");
+  QuerySet qs;
+  qs.queries = {pool.queries[0], pool.queries[1], pool.queries[2]};
+  UnifiabilityGraph g(&qs);
+  for (QueryId q = 0; q < 3; ++q) ASSERT_TRUE(g.AddQuery(q).ok());
+  // Position 2 changes hands; R's relation list keeps the old entry (one
+  // of three is dead), and it must not match the new occupant.
+  g.Release(2);
+  EXPECT_FALSE(g.node(2).alive);
+  qs.queries[2] = pool.queries[3];
+  ASSERT_TRUE(g.AddQuery(2).ok());
+  qs.queries.push_back(pool.queries[4]);
+  ASSERT_TRUE(g.AddQuery(3).ok());
+  EXPECT_EQ(g.node(3).pc_match_count[0], 3u);
+  EXPECT_EQ(LiveEdges(g), (std::vector<std::pair<QueryId, QueryId>>{
+                              {0, 3}, {1, 3}, {2, 3}}));
+}
+
+TEST_F(GraphTest, ReleaseRecyclesEdgesAroundALiveHub) {
+  // One long-lived hub; partners that depend on it come and go through
+  // one reused position. Neither the hub's adjacency, the edge ids nor the
+  // index grow with the number of partners.
+  QuerySet pool = Parse(
+      "{} R(Hub, x) :- B(x);"
+      "{R(Hub, y)} S(P, y) :- B(y)");
+  QuerySet qs;
+  qs.queries = {pool.queries[0], pool.queries[1]};
+  UnifiabilityGraph g(&qs);
+  ASSERT_TRUE(g.AddQuery(0).ok());
+  const size_t hub_entries = g.index_entry_count();
+  for (QueryId round = 0; round < 50; ++round) {
+    qs.queries[1] = pool.queries[1];
+    qs.queries[1].id = round + 1;
+    ASSERT_TRUE(g.Admit(1).ok()) << "round " << round;
+    EXPECT_EQ(LiveEdges(g),
+              (std::vector<std::pair<QueryId, QueryId>>{{0, 1}}));
+    g.Release(1);
+  }
+  EXPECT_TRUE(LiveEdges(g).empty());
+  EXPECT_EQ(g.edge_count(), 1u);
+  EXPECT_EQ(g.free_edge_count(), 1u);
+  EXPECT_TRUE(g.node(0).out_edges.empty());
+  EXPECT_EQ(g.index_entry_count(), hub_entries);
 }
 
 // ------------------------------------------------------------ Partitioner --

@@ -287,6 +287,78 @@ TEST(CoordinationServiceTest, DisjointPairsSpreadOverShardsAndAllAnswer) {
   }
 }
 
+/// A k-way ring entangled through relation `rel`: member i waits for member
+/// i+1 to take the same flight.
+std::vector<std::string> RingFor(const std::string& rel, int k) {
+  std::vector<std::string> ring;
+  for (int i = 0; i < k; ++i) {
+    std::string self = "U" + std::to_string(i);
+    std::string next = "U" + std::to_string((i + 1) % k);
+    ring.push_back("{" + rel + "(" + next + ", x)} " + rel + "(" + self +
+                   ", x) :- F(x, Paris)");
+  }
+  return ring;
+}
+
+TEST(CoordinationServiceTest, DrainedEnginesHoldOnlyTheOutcomeLog) {
+  // N groups, then 10N more: once drained, every shard's engine holds no
+  // query state, and the only figure that grew is the outcome log.
+  constexpr int kGroups = 8;
+  constexpr int kRing = 3;
+  CoordinationService svc(Opts(2, EvalMode::kIncremental));
+  int group = 0;
+  auto answer_groups = [&](int n) {
+    for (int i = 0; i < n; ++i, ++group) {
+      // One group at a time, so the most a shard holds at once is a ring.
+      std::vector<Ticket> tickets;
+      for (const std::string& q : RingFor("Ring" + std::to_string(group),
+                                          kRing)) {
+        auto t = svc.Submit(Query::Ir(q));
+        ASSERT_TRUE(t.ok()) << t.status().ToString();
+        tickets.push_back(*t);
+      }
+      for (Ticket& t : tickets) {
+        t.Wait();
+        ASSERT_EQ(t.outcome().state, ServiceOutcome::State::kAnswered)
+            << t.outcome().status.ToString();
+      }
+    }
+    ASSERT_TRUE(svc.Drain());
+  };
+  auto held = [](const engine::EngineFootprint& f) {
+    engine::EngineFootprint h = f;
+    h.outcomes = 0;
+    return h;
+  };
+
+  answer_groups(kGroups);
+  ServiceStateDump first = svc.DumpState();
+  answer_groups(10 * kGroups);
+  ServiceStateDump last = svc.DumpState();
+
+  ASSERT_EQ(first.shards.size(), 2u);
+  ASSERT_EQ(last.shards.size(), 2u);
+  size_t outcomes = 0;
+  for (size_t s = 0; s < last.shards.size(); ++s) {
+    SCOPED_TRACE("shard " + std::to_string(s));
+    const engine::EngineFootprint& f = last.shards[s].footprint;
+    EXPECT_EQ(f.slots_in_use, 0u);
+    EXPECT_EQ(f.index_entries, 0u);
+    EXPECT_EQ(f.edges_in_use, 0u);
+    EXPECT_EQ(f.tracked_variables, 0u);
+    EXPECT_EQ(f.awaiting_release, 0u);
+    // Freed capacity is what one ring needed, reused by every later ring.
+    EXPECT_LE(f.slots_free, static_cast<size_t>(kRing));
+    EXPECT_LE(f.edges_free, static_cast<size_t>(kRing));
+    ASSERT_GT(first.shards[s].footprint.outcomes, 0u)
+        << "the first phase routed no group here";
+    EXPECT_EQ(held(f), held(first.shards[s].footprint));
+    outcomes += f.outcomes;
+  }
+  EXPECT_EQ(outcomes, static_cast<size_t>(11 * kGroups * kRing));
+  EXPECT_NE(last.ToString().find("awaiting_release=0"), std::string::npos);
+}
+
 TEST(CoordinationServiceTest, PartnerlessQueryFailsOnFlush) {
   CoordinationService svc(Opts(2));
   auto t = svc.Submit(Query::Ir("{R(Ghost, x)} R(Newman, x) :- F(x, Rome)"));
