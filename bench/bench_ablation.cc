@@ -1,13 +1,15 @@
 // Ablation studies for the design choices behind the paper substitutions
 // (see docs/BENCHMARKS.md, "Paper substitutions and deviations"):
 //
-//  A. Atom index vs all-pairs unifiability-graph construction (§4.1.4's
-//     "straightforward but inefficient" baseline).
 //  B. Disjoint-set-forest MGU vs the textbook set-of-sets unifier
 //     (§4.1.5's O(k·α(k)) bound vs quadratic merging).
 //  C. Combined-query execution: greedy bound-first ordering + hash indexes
 //     vs degraded configurations.
-//  D. Parallel per-partition evaluation (§4.1.2) vs sequential flush.
+//
+// Ablations A (atom index vs all-pairs graph build), D (parallel vs
+// sequential flush) and E (incremental rematch scope) are settled: the
+// engine keeps one path of each, and docs/BENCHMARKS.md, "Recorded
+// ablations", holds the measurements and the reasons.
 
 #include "db/database.h"
 #include <cstdio>
@@ -17,7 +19,6 @@
 #include "core/matcher.h"
 #include "core/partitioner.h"
 #include "core/unifiability_graph.h"
-#include "engine/engine.h"
 #include "unify/naive_unifier.h"
 #include "unify/unifier.h"
 #include "util/rng.h"
@@ -29,36 +30,6 @@ namespace {
 
 using workload::FlightWorkload;
 using workload::SocialGraph;
-
-// ------------------------------------------------------------ ablation A --
-
-void AblateAtomIndex(const SocialGraph& graph, const BenchFlags& flags) {
-  PrintHeader("ablation-A: unifiability-graph construction",
-              "variant       queries   build_ms  unification_attempts");
-  size_t n = flags.full ? 8000 : 3000;
-  for (bool use_index : {true, false}) {
-    double ms = 0;
-    uint64_t attempts = 0;
-    RunStats stats = Repeat(flags.runs, [&] {
-      ir::QueryContext ctx;
-      FlightWorkload wl(&graph, &ctx);
-      Rng rng(flags.seed);
-      ir::QuerySet qs;
-      qs.queries = wl.TwoWayBestCase(n / 2, &rng);
-      qs.AssignIds();
-      core::UnifiabilityGraph g(
-          &qs, core::GraphOptions{.use_atom_index = use_index});
-      Stopwatch sw;
-      g.Build().ok();
-      ms = sw.ElapsedMillis();
-      attempts = g.unification_attempts();
-      return ms;
-    });
-    std::printf("%-13s %8zu %10.2f %21llu\n",
-                use_index ? "atom-index" : "all-pairs", n, stats.mean_ms,
-                static_cast<unsigned long long>(attempts));
-  }
-}
 
 // ------------------------------------------------------------ ablation B --
 
@@ -154,76 +125,6 @@ void AblateExecutor(const SocialGraph& graph, const BenchFlags& flags) {
   }
 }
 
-// ------------------------------------------------------------ ablation D --
-
-void AblateParallelFlush(const SocialGraph& graph, const BenchFlags& flags) {
-  PrintHeader("ablation-D: parallel partition evaluation",
-              "threads   queries   flush_ms   answered");
-  size_t n = flags.full ? 40000 : 10000;
-  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
-    double flush_ms = 0;
-    uint64_t answered = 0;
-    RunStats stats = Repeat(flags.runs, [&] {
-      ir::QueryContext ctx;
-      FlightWorkload wl(&graph, &ctx);
-      db::Database db(&ctx.interner());
-      wl.PopulateDatabase(&db).ok();
-      Rng rng(flags.seed);
-      auto queries = wl.TwoWayBestCase(n / 2, &rng);
-      engine::CoordinationEngine engine(
-          &ctx, &db,
-          {.mode = engine::EvalMode::kSetAtATime, .worker_threads = threads});
-      for (auto& q : queries) {
-        auto r = engine.Submit(std::move(q));
-        (void)r;
-      }
-      Stopwatch sw;
-      engine.Flush().ok();
-      flush_ms = sw.ElapsedMillis();
-      answered = engine.metrics().answered;
-      return flush_ms;
-    });
-    std::printf("%7zu %9zu %10.2f %10llu\n", threads, n, stats.mean_ms,
-                static_cast<unsigned long long>(answered));
-  }
-}
-
-// ------------------------------------------------------------ ablation E --
-
-void AblateIncrementalRematch(const SocialGraph& graph,
-                              const BenchFlags& flags) {
-  PrintHeader("ablation-E: incremental rematch scope (massive cluster)",
-              "variant          queries   total_ms");
-  size_t n = flags.full ? 8000 : 3000;
-  for (engine::IncrementalRematch rematch :
-       {engine::IncrementalRematch::kFullPartition,
-        engine::IncrementalRematch::kDeltaSeeds}) {
-    RunStats stats = Repeat(flags.runs, [&] {
-      ir::QueryContext ctx;
-      FlightWorkload wl(&graph, &ctx);
-      db::Database db(&ctx.interner());
-      wl.PopulateDatabase(&db).ok();
-      Rng rng(flags.seed);
-      auto queries = wl.MassiveCluster(n, &rng);
-      engine::CoordinationEngine engine(
-          &ctx, &db,
-          {.mode = engine::EvalMode::kIncremental, .rematch = rematch});
-      Stopwatch sw;
-      for (auto& q : queries) {
-        auto r = engine.Submit(std::move(q));
-        (void)r;
-      }
-      engine.Flush().ok();
-      return sw.ElapsedMillis();
-    });
-    std::printf("%-16s %8zu %10.2f\n",
-                rematch == engine::IncrementalRematch::kFullPartition
-                    ? "full-partition"
-                    : "delta-seeds",
-                n, stats.mean_ms);
-  }
-}
-
 }  // namespace
 }  // namespace eq::bench
 
@@ -245,10 +146,7 @@ int main(int argc, char** argv) {
   std::printf("# graph: %u users, %zu edges; runs=%d\n", graph.num_users(),
               graph.num_edges(), flags.runs);
 
-  AblateAtomIndex(graph, flags);
   AblateMgu(flags);
   AblateExecutor(graph, flags);
-  AblateParallelFlush(graph, flags);
-  AblateIncrementalRematch(graph, flags);
   return 0;
 }

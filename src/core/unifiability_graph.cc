@@ -24,37 +24,6 @@ Status UnifiabilityGraph::Build() {
   return Status::OK();
 }
 
-void UnifiabilityGraph::HeadCandidates(const Atom& probe,
-                                       std::vector<AtomRef>* out) const {
-  if (opts_.use_atom_index) {
-    head_index_.Candidates(probe, out);
-    return;
-  }
-  // All-pairs fallback: every head atom of every added query.
-  for (QueryId q = 0; q < nodes_.size(); ++q) {
-    if (!nodes_[q].alive) continue;
-    const EntangledQuery& query = queries_->queries[q];
-    for (uint32_t i = 0; i < query.head.size(); ++i) {
-      out->push_back(AtomRef{q, i, nodes_[q].generation});
-    }
-  }
-}
-
-void UnifiabilityGraph::PcCandidates(const Atom& probe,
-                                     std::vector<AtomRef>* out) const {
-  if (opts_.use_atom_index) {
-    pc_index_.Candidates(probe, out);
-    return;
-  }
-  for (QueryId q = 0; q < nodes_.size(); ++q) {
-    if (!nodes_[q].alive) continue;
-    const EntangledQuery& query = queries_->queries[q];
-    for (uint32_t i = 0; i < query.postconditions.size(); ++i) {
-      out->push_back(AtomRef{q, i, nodes_[q].generation});
-    }
-  }
-}
-
 void UnifiabilityGraph::AddEdge(QueryId from, uint32_t head_idx, QueryId to,
                                 uint32_t pc_idx,
                                 const Unifier& edge_unifier) {
@@ -113,7 +82,7 @@ Status UnifiabilityGraph::Add(QueryId q, bool check_safety) {
   for (uint32_t j = 0; j < query.postconditions.size(); ++j) {
     const Atom& p = query.postconditions[j];
     cands.clear();
-    HeadCandidates(p, &cands);
+    head_index_.Candidates(p, &cands);
     // q is not indexed yet, so a hit on q is left over from a removal.
     std::erase_if(cands, [&](const AtomRef& ref) {
       return ref.query == q || !Current(ref);
@@ -144,7 +113,7 @@ Status UnifiabilityGraph::Add(QueryId q, bool check_safety) {
   for (uint32_t i = 0; i < query.head.size(); ++i) {
     const Atom& h = query.head[i];
     cands.clear();
-    PcCandidates(h, &cands);
+    pc_index_.Candidates(h, &cands);
     for (const AtomRef& ref : cands) {
       if (ref.query == q || !Current(ref)) continue;
       const Atom& p = queries_->queries[ref.query].postconditions[ref.atom_idx];
@@ -174,14 +143,11 @@ Status UnifiabilityGraph::Add(QueryId q, bool check_safety) {
   node.alive = true;
   node.init_conflict = false;
   node.pc_match_count.assign(query.postconditions.size(), 0);
-  node.indexed = opts_.use_atom_index;
-  if (node.indexed) {
-    for (uint32_t i = 0; i < query.head.size(); ++i) {
-      head_index_.Add(AtomRef{q, i, node.generation}, query.head[i]);
-    }
-    for (uint32_t j = 0; j < query.postconditions.size(); ++j) {
-      pc_index_.Add(AtomRef{q, j, node.generation}, query.postconditions[j]);
-    }
+  for (uint32_t i = 0; i < query.head.size(); ++i) {
+    head_index_.Add(AtomRef{q, i, node.generation}, query.head[i]);
+  }
+  for (uint32_t j = 0; j < query.postconditions.size(); ++j) {
+    pc_index_.Add(AtomRef{q, j, node.generation}, query.postconditions[j]);
   }
   for (const NewEdge& e : found) {
     AddEdge(e.from, e.head_idx, e.to, e.pc_idx, e.unifier);
@@ -219,14 +185,12 @@ void UnifiabilityGraph::Release(QueryId q) {
   Node& node = nodes_[q];
   // From here on the node's index entries are stale.
   ++node.generation;
-  if (node.indexed) {
-    auto stale = [this](const AtomRef& ref) {
-      return ref.generation != nodes_[ref.query].generation;
-    };
-    const EntangledQuery& query = queries_->queries[q];
-    for (const Atom& h : query.head) head_index_.Remove(h, stale);
-    for (const Atom& p : query.postconditions) pc_index_.Remove(p, stale);
-  }
+  auto stale = [this](const AtomRef& ref) {
+    return ref.generation != nodes_[ref.query].generation;
+  };
+  const EntangledQuery& query = queries_->queries[q];
+  for (const Atom& h : query.head) head_index_.Remove(h, stale);
+  for (const Atom& p : query.postconditions) pc_index_.Remove(p, stale);
   for (uint32_t id : node.out_edges) DropEdgeRef(id, q);
   for (uint32_t id : node.in_edges) DropEdgeRef(id, q);
   node = Node{.generation = node.generation};

@@ -26,23 +26,21 @@ struct Edge {
   uint8_t refs = 0;
 };
 
-/// Construction knobs. `use_atom_index` is the ablation switch between the
-/// paper's indexed lookup (§4.1.4) and the "straightforward but inefficient"
-/// all-pairs unification it mentions.
-///
-/// `allow_self_edges` controls whether a query's own head may satisfy its
-/// own postcondition. The paper's formal §2.3 semantics permits this (a
-/// single grounding can be a coordinating set), but its §5.3 experimental
-/// workloads — `{R(x, ITH)} R(Jerry, ITH) ⊃ F(Jerry, x) ...` — only stay
-/// safe if a query's own atoms are not matched against each other, so the
-/// default follows the experiments and excludes self-edges (see
-/// docs/BENCHMARKS.md, "Paper substitutions and deviations").
+/// Construction knobs. `allow_self_edges` controls whether a query's own
+/// head may satisfy its own postcondition. The paper's formal §2.3
+/// semantics permits this (a single grounding can be a coordinating set),
+/// but its §5.3 experimental workloads —
+/// `{R(x, ITH)} R(Jerry, ITH) ⊃ F(Jerry, x) ...` — only stay safe if a
+/// query's own atoms are not matched against each other, so the default
+/// follows the experiments and excludes self-edges (see docs/BENCHMARKS.md,
+/// "Paper substitutions and deviations").
 struct GraphOptions {
-  bool use_atom_index = true;
   bool allow_self_edges = false;
 };
 
-/// The unifiability graph over a workload of entangled queries.
+/// The unifiability graph over a workload of entangled queries. Edges are
+/// found through the paper's (Relation, Parameter, Value) atom index
+/// (§4.1.4), not by all-pairs unification.
 ///
 /// Nodes carry the evolving unifier U(q) of Algorithm 1; per-postcondition
 /// match counts maintain the INDEGREE(q) ≤ PCCOUNT(q) safety invariant and
@@ -61,7 +59,6 @@ class UnifiabilityGraph {
   struct Node {
     bool alive = false;          ///< false until added; false again after removal
     bool init_conflict = false;  ///< initial unifier construction failed (§4.1.4)
-    bool indexed = false;        ///< atoms are in the atom index
     /// Bumped by Release(): index entries of an earlier registration of
     /// this position carry an older generation and never match the node.
     uint32_t generation = 0;
@@ -128,8 +125,10 @@ class UnifiabilityGraph {
   /// Removes `q` (if still alive) and frees what the graph holds for it:
   /// its index entries (deleted lazily, see AtomIndex), unifier, match
   /// counts and adjacency. Its position may then be reused by AddQuery or
-  /// Admit. Reads the query's atoms, so call it before they change. Never
-  /// call it while a matcher runs on the graph.
+  /// Admit. Only for a position AddQuery or Admit added since its last
+  /// release (a position Admit refused holds nothing to free). Reads the
+  /// query's atoms, so call it before they change. Never call it while a
+  /// matcher runs on the graph.
   void Release(ir::QueryId q);
 
   /// Edge ids waiting to be reused.
@@ -156,11 +155,6 @@ class UnifiabilityGraph {
   uint64_t unification_attempts() const { return unification_attempts_; }
 
  private:
-  /// Candidate head refs for a postcondition probe (index or full scan).
-  void HeadCandidates(const ir::Atom& probe, std::vector<AtomRef>* out) const;
-  /// Candidate postcondition refs for a head probe.
-  void PcCandidates(const ir::Atom& probe, std::vector<AtomRef>* out) const;
-
   /// An edge found for a query that is not added yet.
   struct NewEdge {
     ir::QueryId from;

@@ -59,9 +59,9 @@ Result<QueryId> CoordinationEngine::Submit(EntangledQuery query,
   outcomes_.emplace_back();
 
   // One index probe admits the query: the graph collects its edges and
-  // applies the §3.1.1 rule (when enforced) before adding anything.
-  // AddQuery cannot fail here: the slot is free and in range.
-  Status admitted = opts_.enforce_safety ? graph_.Admit(s) : graph_.AddQuery(s);
+  // applies the §3.1.1 rule before adding anything. The slot is free and
+  // in range, so a refusal is always kUnsafe.
+  Status admitted = graph_.Admit(s);
   if (!admitted.ok()) {
     ++metrics_.rejected_unsafe;
     metrics_.match_seconds += sw.ElapsedSeconds();
@@ -69,8 +69,8 @@ Result<QueryId> CoordinationEngine::Submit(EntangledQuery query,
     outcome.state = QueryOutcome::State::kFailed;
     outcome.status = admitted;
     outcome.via = QueryOutcome::Via::kSubmit;
-    retired_.push_back(s);
     Notify(s);
+    FreeSlot(s);  // the graph never held it
     return id;  // submission succeeded; coordination was refused
   }
 
@@ -100,10 +100,7 @@ void CoordinationEngine::Notify(Slot s) {
 void CoordinationEngine::ReleaseRetired() {
   for (Slot s : retired_) {
     graph_.Release(s);  // reads the IR: before it is freed
-    for (ir::VarId v : queries_.queries[s].Variables()) used_vars_.erase(v);
-    queries_.queries[s] = EntangledQuery();
-    slots_[s] = SlotState();
-    free_slots_.push_back(s);
+    FreeSlot(s);
   }
   retired_.clear();
   if (stale_deadlines_ * 2 > deadline_heap_.size()) {
@@ -115,6 +112,13 @@ void CoordinationEngine::ReleaseRetired() {
     deadline_heap_ = decltype(deadline_heap_)(std::greater<>(), std::move(live));
     stale_deadlines_ = 0;
   }
+}
+
+void CoordinationEngine::FreeSlot(Slot s) {
+  for (ir::VarId v : queries_.queries[s].Variables()) used_vars_.erase(v);
+  queries_.queries[s] = EntangledQuery();
+  slots_[s] = SlotState();
+  free_slots_.push_back(s);
 }
 
 void CoordinationEngine::AbsorbPartitions(Slot q) {
@@ -437,21 +441,9 @@ bool CoordinationEngine::EvaluateMembers(const std::vector<Slot>& members,
 void CoordinationEngine::IncrementalStep(Slot q) {
   if (!slots_[q].pending) return;
   Stopwatch sw;
-  std::vector<Slot> seeds;
-  if (opts_.rematch == IncrementalRematch::kFullPartition) {
-    // Paper-faithful: continue matching over the whole partition state.
-    seeds = partitions_.at(slots_[q].partition).members;
-  } else {
-    // Delta seeding: the new query plus the successors whose unifiers its
-    // edges tightened at insertion.
-    seeds.push_back(q);
-    for (uint32_t id : graph_.node(q).out_edges) {
-      const core::Edge& e = graph_.edge(id);
-      if (e.alive && graph_.node(e.to).alive) seeds.push_back(e.to);
-    }
-  }
-  Matcher matcher(&graph_);
-  auto conflict = matcher.Propagate(seeds);
+  // Paper-faithful: continue matching over the whole partition state.
+  auto conflict =
+      Matcher(&graph_).Propagate(partitions_.at(slots_[q].partition).members);
   metrics_.match_seconds += sw.ElapsedSeconds();
   if (conflict.has_value()) {
     Stopwatch repair_sw;
@@ -510,33 +502,13 @@ Status CoordinationEngine::Flush() {
   std::sort(keyed.begin(), keyed.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
 
-  // Batch matching per component. Matching touches only component-local
-  // graph state (§4.1.2 independence), so with worker threads every
-  // component is matched concurrently on the pool first; resolution
-  // (callbacks, partition bookkeeping) always runs on this thread.
-  struct Matched {
-    std::vector<Slot> survivors;
-    double match_seconds = 0;
-  };
-  std::vector<Matched> matched(keyed.size());
-  auto match = [this, &keyed, &matched](size_t i) {
+  // Batch matching per component (§4.1.2: each touches only its own graph
+  // state), each resolved before the next is matched.
+  for (const auto& [first, component] : keyed) {
     Stopwatch sw;
-    Matcher matcher(&graph_);
-    matched[i].survivors = matcher.MatchComponent(keyed[i].second);
-    matched[i].match_seconds = sw.ElapsedSeconds();
-  };
-  const bool parallel = opts_.worker_threads > 1 && keyed.size() > 1;
-  if (parallel) {
-    ThreadPool pool(opts_.worker_threads);
-    for (size_t i = 0; i < keyed.size(); ++i) {
-      pool.Submit([&match, i] { match(i); });
-    }
-    pool.Wait();
-  }
-  for (size_t i = 0; i < keyed.size(); ++i) {
-    if (!parallel) match(i);
-    metrics_.match_seconds += matched[i].match_seconds;
-    ResolveComponentBatch(keyed[i].second, std::move(matched[i].survivors));
+    std::vector<Slot> survivors = Matcher(&graph_).MatchComponent(component);
+    metrics_.match_seconds += sw.ElapsedSeconds();
+    ResolveComponentBatch(component, std::move(survivors));
   }
   return Status::OK();
 }

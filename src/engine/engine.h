@@ -15,7 +15,6 @@
 #include "engine/footprint.h"
 #include "ir/query.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace eq::engine {
 
@@ -23,15 +22,6 @@ namespace eq::engine {
 /// resolves them on Flush(); incremental matches each query on arrival and
 /// answers a partition as soon as all of its members are matched.
 enum class EvalMode { kSetAtATime, kIncremental };
-
-/// How much of the affected partition the incremental mode re-propagates
-/// on each arrival. kFullPartition mirrors the paper's implementation
-/// ("continues the matching algorithm" over the partition state, §5.1) and
-/// reproduces the super-linear incremental curve of Figure 8; kDeltaSeeds
-/// is our optimization — only the arriving query and the nodes its edges
-/// tightened seed the propagation, so an arrival that changes nothing
-/// costs O(1) instead of O(partition).
-enum class IncrementalRematch { kFullPartition, kDeltaSeeds };
 
 /// Scores one query's answer tuples within one candidate coordinated
 /// outcome; higher is better. The §6 "ranking function on preferred query
@@ -45,21 +35,12 @@ using PreferenceFn = std::function<double(
 struct EngineOptions {
   EvalMode mode = EvalMode::kSetAtATime;
 
-  IncrementalRematch rematch = IncrementalRematch::kFullPartition;
-
   /// Optional grounding preference (§6 extension). Null = paper-core
   /// semantics: the first coordinated outcome wins.
   PreferenceFn preference;
 
   /// How many coordinated outcomes to enumerate when ranking preferences.
   size_t preference_candidates = 16;
-
-  /// Threads for parallel per-partition evaluation during Flush
-  /// (§4.1.2: components are independent). 0 = sequential.
-  size_t worker_threads = 0;
-
-  /// Reject queries that would make the admitted set unsafe (§3.1.1).
-  bool enforce_safety = true;
 
   /// Executor knobs for combined-query evaluation.
   db::ExecOptions exec;
@@ -110,19 +91,22 @@ struct EngineMetrics {
 
 /// The D3C coordination engine (paper §5.1, Figure 5).
 ///
-/// Life cycle of a query: Submit() validates, checks safety, and registers
-/// the query as pending. The application is then notified asynchronously via
-/// the answer callback — on coordination success (with the answer tuples),
-/// on failure (safety violation, unsatisfiable constraints, no database
-/// support, staleness timeout), exactly once per query.
+/// Life cycle of a query: Submit() validates it, admits it only if the
+/// pending set stays safe (§3.1.1), and registers it as pending. The
+/// application is then notified asynchronously via the answer callback —
+/// on coordination success (with the answer tuples), on failure (safety
+/// violation, unsatisfiable constraints, no database support, staleness
+/// timeout), exactly once per query.
 ///
 /// Modes:
-///  - kIncremental: every Submit updates the unifiability graph, propagates
-///    unifiers in the affected partition, and evaluates the partition if all
+///  - kIncremental: every Submit updates the unifiability graph, re-runs
+///    unifier propagation over the whole affected partition (the paper's
+///    "continues the matching algorithm", §5.1, which gives Figure 8 its
+///    super-linear incremental curve), and evaluates the partition if all
 ///    of its members have matched postconditions.
 ///  - kSetAtATime: Submits only accumulate; Flush() matches and evaluates
-///    all pending queries, failing those with no partners. Partitions are
-///    evaluated in parallel on a thread pool when worker_threads > 0.
+///    all pending queries, one partition after another, failing those with
+///    no partners.
 ///
 /// Staleness (§5.1): Submit accepts a TTL in logical ticks; AdvanceTime()
 /// expires overdue pending queries with a Timeout outcome.
@@ -134,11 +118,13 @@ struct EngineMetrics {
 /// partition membership, variables) lives in a recycled slot while the
 /// query is pending. A resolved query is retired from matching at once and
 /// released, slot and all, at the start of the next Submit or at the end
-/// of any entry point other than Flush — never inside Flush, whose pool
-/// matches components concurrently over the shared graph.
+/// of any entry point other than Flush — never inside Flush. Members of a
+/// component are resolved, and their callbacks run (and may re-enter
+/// Submit), before the component leaves the graph, so no slot may be
+/// recycled while an evaluation is running; a Flush leaves all of its
+/// retirees to the next entry point.
 ///
-/// Thread model: the public API must be called from one thread; internal
-/// parallelism is confined to Flush.
+/// Thread model: the public API must be called from one thread.
 class CoordinationEngine {
  public:
   using AnswerCallback =
@@ -287,6 +273,10 @@ class CoordinationEngine {
   /// Frees every retired slot for reuse: graph node and index entries, IR,
   /// variables. Runs only on the engine thread, outside Flush.
   void ReleaseRetired();
+
+  /// Frees slot `s`'s IR, variables and state; the graph's hold on it must
+  /// already be gone.
+  void FreeSlot(Slot s);
 
   /// Merges the partitions of `q` and all its live graph neighbours.
   void AbsorbPartitions(Slot q);

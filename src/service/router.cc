@@ -84,13 +84,6 @@ Result<std::vector<std::string>> QueryRouter::EntangledRelationsOf(
   return rels;
 }
 
-Result<QueryRouter::RouteDecision> QueryRouter::RouteQuery(
-    std::string_view text) {
-  auto rels = EntangledRelationsOf(text);
-  if (!rels.ok()) return rels.status();
-  return RouteRelations(std::move(*rels));
-}
-
 Result<QueryRouter::RouteDecision> QueryRouter::RouteRelations(
     std::vector<std::string> rels) {
   if (rels.empty()) {

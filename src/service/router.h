@@ -28,9 +28,10 @@ inline constexpr uint32_t kInvalidShard = UINT32_MAX;
 /// groups merge onto the shard of the larger group and RouteDecision reports
 /// merged_groups so the service can migrate the stranded minority.
 ///
-/// Routing works on the raw IR query text (a cheap lexical scan of the
-/// `{C} H` prefix) — the full parse happens later, on the owning shard,
-/// against that shard's private QueryContext.
+/// Routing reads the entangled relation list of the query's canonical
+/// program, which the service builds at the edge for every dialect; shards
+/// only instantiate that program. EntangledRelationsOf is the one lexical
+/// scan of raw IR text, the service's routability check before it parses.
 ///
 /// Thread-safe: any number of client threads may route concurrently.
 class QueryRouter {
@@ -56,10 +57,6 @@ class QueryRouter {
   /// position (before `:-`). Fails on text with no entangled atoms.
   static Result<std::vector<std::string>> EntangledRelationsOf(
       std::string_view text);
-
-  /// Routes one query by its raw IR text (lexical relation scan, then
-  /// RouteRelations).
-  Result<RouteDecision> RouteQuery(std::string_view text);
 
   /// Routes one query by its (already translated) entangled-relation
   /// signature, updating group state. `relations` must be non-empty.

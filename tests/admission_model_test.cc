@@ -5,11 +5,9 @@
 // core::SafetyChecker::Admit/Remove, run over the same live set. Decisions
 // must agree, and so must the kUnsafe messages.
 //
-// Three configurations: set-at-a-time and incremental with safety
-// enforced, and incremental with enforce_safety = false, where the engine
-// must add everything unchecked. Op counts shrink under ASan/TSan (the
-// sanitizer legs run the same logic). The failing seed is echoed through
-// SCOPED_TRACE; rerun one with --gtest_filter='*/<index>'.
+// Two configurations: set-at-a-time and incremental. Op counts shrink
+// under ASan/TSan (the sanitizer legs run the same logic). The failing seed
+// is echoed through SCOPED_TRACE; rerun one with --gtest_filter='*/<index>'.
 
 #include <gtest/gtest.h>
 
@@ -47,7 +45,7 @@ using ir::ValueType;
 constexpr size_t kOpsPerSeed = EQ_MODEL_SANITIZED ? 150 : 600;
 constexpr int kUsers = 6;
 
-enum class Config { kSetAtATime, kIncremental, kUnchecked };
+enum class Config { kSetAtATime, kIncremental };
 
 const char* ConfigName(Config c) {
   switch (c) {
@@ -55,8 +53,6 @@ const char* ConfigName(Config c) {
       return "set-at-a-time";
     case Config::kIncremental:
       return "incremental";
-    case Config::kUnchecked:
-      return "enforce_safety=false";
   }
   return "?";
 }
@@ -124,11 +120,9 @@ TEST_P(AdmissionModelTest, GraphAdmissionMatchesSafetyChecker) {
     ASSERT_TRUE(db.Insert("Friend", {a, b}).ok());
   }
 
-  const bool enforce = config != Config::kUnchecked;
   EngineOptions opts;
   opts.mode = config == Config::kSetAtATime ? EvalMode::kSetAtATime
                                             : EvalMode::kIncremental;
-  opts.enforce_safety = enforce;
   CoordinationEngine engine(&ctx, &db, opts);
 
   // The reference checker follows the engine's live set: a query enters on
@@ -172,15 +166,11 @@ TEST_P(AdmissionModelTest, GraphAdmissionMatchesSafetyChecker) {
         const Status& got = engine.outcome(*id).status;
         bool engine_rejected = got.code() == StatusCode::kUnsafe;
         if (!want.ok()) ++oracle_rejected;
-        if (enforce) {
-          ASSERT_EQ(engine_rejected, !want.ok())
-              << "engine: " << got.ToString() << " oracle: " << want.ToString();
-          if (engine_rejected) {
-            EXPECT_EQ(got.ToString(), want.ToString());
-            EXPECT_EQ(engine.outcome(*id).via, QueryOutcome::Via::kSubmit);
-          }
-        } else {
-          ASSERT_FALSE(engine_rejected) << got.ToString();
+        ASSERT_EQ(engine_rejected, !want.ok())
+            << "engine: " << got.ToString() << " oracle: " << want.ToString();
+        if (engine_rejected) {
+          EXPECT_EQ(got.ToString(), want.ToString());
+          EXPECT_EQ(engine.outcome(*id).via, QueryOutcome::Via::kSubmit);
         }
         engine_rejected ? ++rejected : ++admitted;
       }
@@ -201,10 +191,8 @@ TEST_P(AdmissionModelTest, GraphAdmissionMatchesSafetyChecker) {
       ASSERT_TRUE(engine.Flush().ok());
     }
     retire_resolved();
-    if (enforce) {
-      // Under enforcement the admitted set is exactly the pending set.
-      ASSERT_EQ(oracle.admitted_count(), engine.pending_count());
-    }
+    // The admitted set is exactly the pending set.
+    ASSERT_EQ(oracle.admitted_count(), engine.pending_count());
   }
 
   ASSERT_TRUE(engine.Flush().ok());
@@ -215,20 +203,15 @@ TEST_P(AdmissionModelTest, GraphAdmissionMatchesSafetyChecker) {
   EXPECT_GT(admitted, 0u);
   EXPECT_GT(oracle_rejected, 0u);
   EXPECT_GT(engine.metrics().answered, 0u);
-  if (enforce) {
-    EXPECT_EQ(rejected, oracle_rejected);
-    EXPECT_EQ(oracle.admitted_count(), 0u);
-  } else {
-    EXPECT_EQ(rejected, 0u);
-  }
+  EXPECT_EQ(rejected, oracle_rejected);
+  EXPECT_EQ(oracle.admitted_count(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Seeds, AdmissionModelTest,
     ::testing::Combine(::testing::Range<uint64_t>(1, 13),
                        ::testing::Values(Config::kSetAtATime,
-                                         Config::kIncremental,
-                                         Config::kUnchecked)));
+                                         Config::kIncremental)));
 
 }  // namespace
 }  // namespace eq::engine

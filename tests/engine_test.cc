@@ -125,10 +125,9 @@ TEST_F(EngineTest, BatchThreeWayCycleCoordinates) {
   EXPECT_EQ(flights.size(), 1u) << "all three must share one flight";
 }
 
-TEST_F(EngineTest, ParallelFlushMatchesSequential) {
-  // Many disjoint pairs; a parallel flush must answer all of them.
-  auto engine = MakeEngine(
-      {.mode = EvalMode::kSetAtATime, .worker_threads = 4});
+TEST_F(EngineTest, FlushAnswersEveryDisjointPair) {
+  // Many disjoint pairs; one flush answers each as its own partition.
+  auto engine = MakeEngine({.mode = EvalMode::kSetAtATime});
   std::vector<QueryId> ids;
   for (int i = 0; i < 20; ++i) {
     std::string u = "U" + std::to_string(i);
@@ -147,6 +146,36 @@ TEST_F(EngineTest, ParallelFlushMatchesSequential) {
   }
   EXPECT_EQ(engine->metrics().answered, 40u);
   EXPECT_EQ(engine->metrics().partitions_evaluated, 20u);
+}
+
+TEST_F(EngineTest, FlushResolvesComponentsInOrderOfTheirSmallestId) {
+  // Three disjoint pairs with interleaved ids: pair p holds ids p and p + 3.
+  auto engine = MakeEngine({.mode = EvalMode::kSetAtATime});
+  std::vector<QueryId> fired;
+  engine->SetCallback(
+      [&fired](QueryId q, const QueryOutcome&) { fired.push_back(q); });
+  const std::vector<std::string> users = {"A", "B", "C"};
+  for (const std::string& u : users) {
+    ASSERT_TRUE(engine
+                    ->Submit(Parse("{R(" + u + "2, x)} R(" + u +
+                                   "1, x) :- F(x, Paris)"))
+                    .ok());
+  }
+  for (const std::string& u : users) {
+    ASSERT_TRUE(engine
+                    ->Submit(Parse("{R(" + u + "1, y)} R(" + u +
+                                   "2, y) :- F(y, Paris)"))
+                    .ok());
+  }
+  EXPECT_TRUE(fired.empty());
+  ASSERT_TRUE(engine->Flush().ok());
+  // Component by component in order of each one's smallest member id, and
+  // in id order within a component.
+  EXPECT_EQ(fired, (std::vector<QueryId>{0, 3, 1, 4, 2, 5}));
+  for (QueryId q : fired) {
+    EXPECT_EQ(engine->outcome(q).state, QueryOutcome::State::kAnswered);
+  }
+  EXPECT_EQ(engine->metrics().partitions_evaluated, 3u);
 }
 
 // --------------------------------------------------------- incremental ----
@@ -276,17 +305,6 @@ TEST_F(EngineTest, UnsafeSubmissionIsRejected) {
   EXPECT_EQ(engine->outcome(*jerry).state, QueryOutcome::State::kFailed);
   EXPECT_EQ(engine->outcome(*jerry).status.code(), StatusCode::kUnsafe);
   EXPECT_EQ(engine->metrics().rejected_unsafe, 1u);
-}
-
-TEST_F(EngineTest, SafetyCanBeDisabled) {
-  auto engine = MakeEngine(
-      {.mode = EvalMode::kSetAtATime, .enforce_safety = false});
-  ASSERT_TRUE(engine
-                  ->Submit(Parse("{R(Jerry, x)} R(Kramer, x) :- F(x, Paris)"))
-                  .ok());
-  auto jerry = engine->Submit(Parse("{R(f, z)} R(Jerry, z) :- F(z, f)"));
-  ASSERT_TRUE(jerry.ok());
-  EXPECT_EQ(engine->outcome(*jerry).state, QueryOutcome::State::kPending);
 }
 
 // ---------------------------------------------------------- staleness ----

@@ -6,6 +6,7 @@
 #include <future>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -72,6 +73,12 @@ std::pair<std::string, std::string> PairFor(const std::string& rel, int i) {
 
 // ---------------------------------------------------------------- router --
 
+/// Routes one IR query by the entangled relations its text names.
+Result<QueryRouter::RouteDecision> Route(QueryRouter& router,
+                                         std::string_view text) {
+  return router.RouteRelations(*QueryRouter::EntangledRelationsOf(text));
+}
+
 TEST(QueryRouterTest, ExtractsEntangledRelations) {
   auto rels = QueryRouter::EntangledRelationsOf(
       "kramer: {R(Jerry, x), Gift(Elaine, g)} R(Kramer, x) "
@@ -98,15 +105,18 @@ TEST(QueryRouterTest, RejectsTextWithoutEntangledAtoms) {
   auto rels = QueryRouter::EntangledRelationsOf("   choose 2");
   EXPECT_FALSE(rels.ok());
   EXPECT_EQ(rels.status().code(), StatusCode::kInvalidArgument);
+  // Nor does the router accept an empty signature.
+  QueryRouter router(4);
+  EXPECT_FALSE(router.RouteRelations({}).ok());
 }
 
 TEST(QueryRouterTest, SharedRelationMeansSameShard) {
   QueryRouter router(8);
-  auto a = router.RouteQuery("{R(J, x)} R(K, x) :- F(x, Paris)");
-  auto b = router.RouteQuery("{R(K, y)} R(J, y) :- F(y, Paris)");
+  auto a = Route(router, "{R(J, x)} R(K, x) :- F(x, Paris)");
+  auto b = Route(router, "{R(K, y)} R(J, y) :- F(y, Paris)");
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(a->shard, b->shard);
-  auto c = router.RouteQuery("{Gift(E, g)} Gift(G, g) :- F(g, Rome)");
+  auto c = Route(router, "{Gift(E, g)} Gift(G, g) :- F(g, Rome)");
   ASSERT_TRUE(c.ok());
   EXPECT_EQ(router.group_count(), 2u);
 }
@@ -115,7 +125,7 @@ TEST(QueryRouterTest, DisjointGroupsBalanceAcrossShards) {
   QueryRouter router(4);
   std::set<uint32_t> used;
   for (int i = 0; i < 16; ++i) {
-    auto r = router.RouteQuery(PairFor("Rel" + std::to_string(i), i).first);
+    auto r = Route(router, PairFor("Rel" + std::to_string(i), i).first);
     ASSERT_TRUE(r.ok());
     used.insert(r->shard);
   }
@@ -126,17 +136,16 @@ TEST(QueryRouterTest, DisjointGroupsBalanceAcrossShards) {
 TEST(QueryRouterTest, MergeReportsMovedRelations) {
   QueryRouter router(2);
   // Two groups pinned to distinct shards (least-loaded placement).
-  auto a = router.RouteQuery("{Ra(J, x)} Ra(K, x) :- F(x, Paris)");
-  auto b = router.RouteQuery("{Rb(J, y), Rc(E, y)} Rb(K, y) :- F(y, Paris)");
+  auto a = Route(router, "{Ra(J, x)} Ra(K, x) :- F(x, Paris)");
+  auto b = Route(router, "{Rb(J, y), Rc(E, y)} Rb(K, y) :- F(y, Paris)");
   ASSERT_TRUE(a.ok() && b.ok());
   ASSERT_NE(a->shard, b->shard);
   EXPECT_TRUE(a->moved_relations.empty());
   EXPECT_TRUE(b->moved_relations.empty());
   // Grow group Ra so it wins the merge.
-  ASSERT_TRUE(router.RouteQuery("{Ra(K, z)} Ra(J, z) :- F(z, Paris)").ok());
+  ASSERT_TRUE(Route(router, "{Ra(K, z)} Ra(J, z) :- F(z, Paris)").ok());
   // Bridge: the Rb/Rc group loses and every one of its relations moves.
-  auto bridge =
-      router.RouteQuery("{Ra(J, w), Rb(K, w)} Ra(K, w) :- F(w, Paris)");
+  auto bridge = Route(router, "{Ra(J, w), Rb(K, w)} Ra(K, w) :- F(w, Paris)");
   ASSERT_TRUE(bridge.ok());
   EXPECT_TRUE(bridge->merged_groups);
   EXPECT_EQ(bridge->shard, a->shard);
@@ -144,16 +153,6 @@ TEST(QueryRouterTest, MergeReportsMovedRelations) {
   std::sort(moved.begin(), moved.end());
   EXPECT_EQ(moved, (std::vector<std::string>{"Rb", "Rc"}));
   EXPECT_EQ(router.ShardOfRelation("Rc"), a->shard);
-}
-
-TEST(QueryRouterTest, RouteRelationsMatchesRouteQuery) {
-  QueryRouter by_text(4), by_rels(4);
-  auto a = by_text.RouteQuery("{R(J, x), Gift(E, g)} R(K, x) :- F(x, P)");
-  auto b = by_rels.RouteRelations({"Gift", "R"});
-  ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_EQ(a->shard, b->shard);
-  EXPECT_EQ(a->relations, b->relations);
-  EXPECT_FALSE(by_rels.RouteRelations({}).ok());
 }
 
 /// Property test: any two queries sharing an entangled relation are routed
@@ -195,7 +194,7 @@ TEST(QueryRouterTest, ColocationMatchesRelationComponents) {
              std::to_string(q) + ", x)";
       }
       std::string text = "{" + pc + "} " + head + " :- F(x, Paris)";
-      auto decision = router.RouteQuery(text);
+      auto decision = Route(router, text);
       ASSERT_TRUE(decision.ok()) << text;
       shard_of.push_back(decision->shard);
       auto parsed = parser.ParseQuery(text);

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <numeric>
 #include <set>
 
@@ -9,7 +8,6 @@
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/stopwatch.h"
-#include "util/thread_pool.h"
 
 namespace eq {
 namespace {
@@ -226,51 +224,6 @@ TEST(StopwatchTest, MeasuresNonNegativeTime) {
   for (int i = 0; i < 100000; ++i) sink = sink + static_cast<uint64_t>(i);
   EXPECT_GE(sw.ElapsedSeconds(), 0.0);
   EXPECT_GE(sw.ElapsedMicros(), sw.ElapsedMillis());
-}
-
-// ------------------------------------------------------------- ThreadPool --
-
-TEST(ThreadPoolTest, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&] { counter.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPoolTest, WaitIsReusable) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  pool.Submit([&] { counter.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 1);
-  pool.Submit([&] { counter.fetch_add(1); });
-  pool.Submit([&] { counter.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 3);
-}
-
-TEST(ThreadPoolTest, ZeroThreadsClampedToOne) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.thread_count(), 1u);
-  std::atomic<bool> ran{false};
-  pool.Submit([&] { ran = true; });
-  pool.Wait();
-  EXPECT_TRUE(ran.load());
-}
-
-TEST(ThreadPoolTest, TasksCanSubmitTasks) {
-  ThreadPool pool(3);
-  std::atomic<int> counter{0};
-  pool.Submit([&] {
-    counter.fetch_add(1);
-    pool.Submit([&] { counter.fetch_add(1); });
-  });
-  // Wait may observe the inner submission; loop until both ran.
-  for (int i = 0; i < 100 && counter.load() < 2; ++i) pool.Wait();
-  EXPECT_EQ(counter.load(), 2);
 }
 
 }  // namespace
