@@ -24,26 +24,18 @@ GroupTable::GroupTable(std::vector<uint32_t> member_nodes)
                  members_.end());
 }
 
-size_t GroupTable::FindLocked(size_t x) const {
-  while (parent_[x] != x) {
-    parent_[x] = parent_[parent_[x]];  // path halving
-    x = parent_[x];
-  }
-  return x;
-}
-
-size_t GroupTable::InternLocked(const std::string& rel) {
+uint32_t GroupTable::InternLocked(const std::string& rel) {
   auto it = index_.find(rel);
   if (it != index_.end()) return it->second;
-  size_t id = names_.size();
+  uint32_t id = groups_.Add();
   index_.emplace(rel, id);
   names_.push_back(rel);
-  parent_.push_back(id);
+  next_in_group_.push_back(id);
   min_name_.push_back(id);
   return id;
 }
 
-uint32_t GroupTable::OwnerOfRootLocked(size_t root) const {
+uint32_t GroupTable::OwnerOfRootLocked(uint32_t root) const {
   return members_[Fnv1a(names_[min_name_[root]]) % members_.size()];
 }
 
@@ -57,26 +49,28 @@ GroupTable::Decision GroupTable::Route(const std::vector<std::string>& rels) {
 
   // Collect the distinct roots the input touches, remembering each
   // pre-merge owner so displaced ones can be told to hand over.
-  std::vector<size_t> roots;
+  std::vector<uint32_t> roots;
   for (const auto& rel : rels) {
-    size_t root = FindLocked(InternLocked(rel));
+    uint32_t root = groups_.Find(InternLocked(rel));
     if (std::find(roots.begin(), roots.end(), root) == roots.end()) {
       roots.push_back(root);
     }
   }
   std::vector<uint32_t> old_owners;
   old_owners.reserve(roots.size());
-  for (size_t r : roots) old_owners.push_back(OwnerOfRootLocked(r));
+  for (uint32_t r : roots) old_owners.push_back(OwnerOfRootLocked(r));
 
-  // Union everything under the first root; the merged group's min
-  // relation is the min over subgroups.
-  size_t merged = roots[0];
+  // Union everything into one group: splice the member cycles together
+  // and keep the smaller of the two min relations at the surviving root.
+  uint32_t merged = roots[0];
   for (size_t i = 1; i < roots.size(); ++i) {
-    size_t r = roots[i];
-    parent_[r] = merged;
-    if (names_[min_name_[r]] < names_[min_name_[merged]]) {
-      min_name_[merged] = min_name_[r];
-    }
+    uint32_t r = roots[i];
+    uint32_t min_id = names_[min_name_[r]] < names_[min_name_[merged]]
+                          ? min_name_[r]
+                          : min_name_[merged];
+    std::swap(next_in_group_[merged], next_in_group_[r]);
+    merged = groups_.Union(merged, r);
+    min_name_[merged] = min_id;
   }
 
   d.owner = OwnerOfRootLocked(merged);
@@ -88,12 +82,12 @@ GroupTable::Decision GroupTable::Route(const std::vector<std::string>& rels) {
     }
   }
 
-  // Full relation set of the merged group (piggyback payload). Group
-  // counts are small (relations that ever coordinated); a linear sweep
-  // keeps the structure merge-only and simple.
-  for (size_t id = 0; id < names_.size(); ++id) {
-    if (FindLocked(id) == merged) d.relations.push_back(names_[id]);
-  }
+  // Full relation set of the merged group (piggyback payload).
+  uint32_t id = merged;
+  do {
+    d.relations.push_back(names_[id]);
+    id = next_in_group_[id];
+  } while (id != merged);
   std::sort(d.relations.begin(), d.relations.end());
   return d;
 }
@@ -109,7 +103,7 @@ uint32_t GroupTable::ProbeOwner(const std::vector<std::string>& rels) const {
     const std::string* candidate = &rel;
     auto it = index_.find(rel);
     if (it != index_.end()) {
-      size_t root = FindLocked(it->second);
+      uint32_t root = groups_.Find(it->second);
       candidate = &names_[min_name_[root]];
     }
     if (min_rel == nullptr || *candidate < *min_rel) min_rel = candidate;

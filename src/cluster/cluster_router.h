@@ -7,6 +7,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "util/disjoint_set.h"
+
 namespace eq::cluster {
 
 /// Node-level entangled-group routing: the cross-node analogue of the
@@ -25,6 +27,10 @@ namespace eq::cluster {
 /// converge on the same owner. While knowledge is still propagating, a
 /// node may route to a stale owner — the receiver re-routes (bounded by
 /// the submit hop limit) and emits GroupUpdates to displaced owners.
+///
+/// A Route costs O(relations of the groups it touches), independent of
+/// how many groups the table has ever seen: each group's members form a
+/// cycle that a merge splices in O(1) and a decision walks in O(group).
 ///
 /// Thread-safe; every method may be called from any thread.
 class GroupTable {
@@ -47,8 +53,9 @@ class GroupTable {
   };
 
   /// Merges `rels` into one group (joining any existing groups they touch)
-  /// and returns the owner decision. Empty input yields the local
-  /// fallback: owner of an empty relation set is members[0].
+  /// and returns the owner decision. Duplicate names are fine. Empty input
+  /// yields the local fallback: owner of an empty relation set is
+  /// members[0].
   Decision Route(const std::vector<std::string>& rels);
 
   /// The owner `rels` would route to right now, without merging anything
@@ -56,19 +63,20 @@ class GroupTable {
   uint32_t ProbeOwner(const std::vector<std::string>& rels) const;
 
  private:
-  size_t FindLocked(size_t x) const;
-  size_t InternLocked(const std::string& rel);
-  uint32_t OwnerOfRootLocked(size_t root) const;
+  uint32_t InternLocked(const std::string& rel);
+  uint32_t OwnerOfRootLocked(uint32_t root) const;
 
   mutable std::mutex mu_;
   std::vector<uint32_t> members_;
-  std::unordered_map<std::string, size_t> index_;
+  std::unordered_map<std::string, uint32_t> index_;
   std::vector<std::string> names_;
-  /// Union-find over relation ids; parent_[x] == x at roots. Roots also
-  /// carry min_name_ — the group's lexicographically smallest relation,
-  /// the deterministic input to the owner hash.
-  mutable std::vector<size_t> parent_;
-  std::vector<size_t> min_name_;  ///< per root: index of the min relation
+  mutable DisjointSetForest groups_;  // Find() path-halves; logically const
+  /// Per relation id: the next member of its group, a cycle through every
+  /// relation of the group.
+  std::vector<uint32_t> next_in_group_;
+  /// Per root: id of the group's lexicographically smallest relation, the
+  /// deterministic input to the owner hash.
+  std::vector<uint32_t> min_name_;
 };
 
 }  // namespace eq::cluster

@@ -267,12 +267,11 @@ void ClusterService::HandleSubmit(net::SubmitMsg m,
   uint64_t req_id = m.req_id;
 
   // Merge the sender's group knowledge with the query's own relations,
-  // then re-route: we may know of merges the sender does not.
-  std::set<std::string> rel_set(m.group_relations.begin(),
-                                m.group_relations.end());
-  for (const auto& rel : m.query.EntangledRelations()) rel_set.insert(rel);
-  auto decision =
-      groups_.Route(std::vector<std::string>(rel_set.begin(), rel_set.end()));
+  // then re-route: we may know of merges the sender does not. Route
+  // tolerates the duplicates this concatenation carries.
+  std::vector<std::string> rels = std::move(m.group_relations);
+  for (auto& rel : m.query.EntangledRelations()) rels.push_back(std::move(rel));
+  auto decision = groups_.Route(rels);
   NotifyDisplaced(decision);
 
   if (decision.owner == self_) {
@@ -316,7 +315,7 @@ void ClusterService::HandleSubmit(net::SubmitMsg m,
     return;
   }
   m.hops += 1;
-  m.group_relations = decision.relations;
+  m.group_relations = std::move(decision.relations);
   {
     // Register before sending so the handler's erase always pairs with an
     // existing entry, whichever thread wins.

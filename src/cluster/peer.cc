@@ -18,20 +18,79 @@ service::ServiceOutcome UnavailableOutcome(std::string why) {
 
 }  // namespace
 
+bool PeerLink::Connection::AddSubmit(uint64_t req_id,
+                                     OutcomeHandler& handler) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!open_) return false;
+  submits_.emplace(req_id, std::move(handler));
+  return true;
+}
+
+bool PeerLink::Connection::AddWrite(uint64_t req_id,
+                                    std::shared_ptr<WriteWait> wait) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!open_) return false;
+  writes_.emplace(req_id, std::move(wait));
+  return true;
+}
+
+PeerLink::OutcomeHandler PeerLink::Connection::TakeSubmit(uint64_t req_id) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto node = submits_.extract(req_id);
+  return node ? std::move(node.mapped()) : OutcomeHandler();
+}
+
+std::shared_ptr<PeerLink::WriteWait> PeerLink::Connection::TakeWrite(
+    uint64_t req_id) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto node = writes_.extract(req_id);
+  return node ? std::move(node.mapped()) : nullptr;
+}
+
+bool PeerLink::Connection::open() {
+  std::lock_guard<std::mutex> lock(mu_);
+  return open_;
+}
+
+void PeerLink::Connection::SetCloseReason(const std::string& why) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (close_reason_.empty()) close_reason_ = why;
+}
+
+void PeerLink::Connection::FailAll(std::string why) {
+  std::unordered_map<uint64_t, OutcomeHandler> submits;
+  std::unordered_map<uint64_t, std::shared_ptr<WriteWait>> writes;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = false;
+    if (!close_reason_.empty()) why = close_reason_;
+    submits.swap(submits_);
+    writes.swap(writes_);
+  }
+  auto outcome = UnavailableOutcome(why);
+  for (auto& [id, h] : submits) h(outcome);
+  for (auto& [id, w] : writes) {
+    std::lock_guard<std::mutex> lock(w->mu);
+    w->reply.status = Status::Unavailable(why);
+    w->done = true;
+    w->cv.notify_all();
+  }
+}
+
 PeerLink::PeerLink(PeerSpec spec, Options opts, const StringInterner* interner)
     : spec_(std::move(spec)), opts_(opts), interner_(interner) {}
 
 PeerLink::~PeerLink() { Close(); }
 
+std::string PeerLink::LostReason() const {
+  return "connection to peer " + std::to_string(spec_.node_id) + " lost";
+}
+
 Status PeerLink::EnsureConnectedLocked() {
   if (closed_) return Status::Unavailable("peer link is closed");
-  if (connected_) {
-    if (conn_dead_ && conn_dead_->load(std::memory_order_acquire)) {
-      DropConnectionLocked("connection to peer " +
-                           std::to_string(spec_.node_id) + " lost");
-    } else {
-      return Status::OK();
-    }
+  if (conn_) {
+    if (conn_->open()) return Status::OK();
+    DropConnectionLocked(LostReason());
   }
   auto now = std::chrono::steady_clock::now();
   if (now < next_attempt_) {
@@ -100,22 +159,31 @@ Status PeerLink::EnsureConnectedLocked() {
         " (nodes bootstrapped different catalogs?)");
   }
 
-  sock_ = std::move(sock.value());
-  connected_ = true;
-  conn_dead_ = std::make_shared<std::atomic<bool>>(false);
+  // Readers of earlier connections that have finished hold no lock and
+  // are about to return, so joining them here cannot block.
+  std::erase_if(readers_, [](Reader& r) {
+    if (!r.done->load(std::memory_order_acquire)) return false;
+    r.thread.join();
+    return true;
+  });
+  conn_ = std::make_shared<Connection>();
+  conn_->sock = std::move(sock.value());
   backoff_ms_ = 0;
   next_attempt_ = {};
   shared_sym_prefix_v_ = std::min<uint64_t>(hwm, ack.value().sym_hwm);
   last_pushed_version_v_ = ack.value().applied_db_version;
   ++conn_generation_v_;
-  reader_ = std::thread(&PeerLink::ReaderLoop, this);
+  auto done = std::make_shared<std::atomic<bool>>(false);
+  readers_.push_back(
+      {std::thread(&PeerLink::ReaderLoop, this, conn_, done), done});
   return Status::OK();
 }
 
 Status PeerLink::SendLocked(net::FrameType type, const std::string& payload) {
-  bool was_connected = connected_;
+  bool was_connected = conn_ != nullptr;
   if (Status s = EnsureConnectedLocked(); !s.ok()) return s;
-  Status sent = net::SendFrame(sock_, type, payload, opts_.io_timeout_ms);
+  Status sent =
+      net::SendFrame(conn_->sock, type, payload, opts_.io_timeout_ms);
   if (sent.ok()) return sent;
   DropConnectionLocked("send to peer " + std::to_string(spec_.node_id) +
                        " failed");
@@ -123,7 +191,7 @@ Status PeerLink::SendLocked(net::FrameType type, const std::string& payload) {
   // The connection was pre-existing and may simply have died while idle
   // (peer restart): one immediate reconnect + resend before giving up.
   if (Status s = EnsureConnectedLocked(); !s.ok()) return s;
-  sent = net::SendFrame(sock_, type, payload, opts_.io_timeout_ms);
+  sent = net::SendFrame(conn_->sock, type, payload, opts_.io_timeout_ms);
   if (!sent.ok()) {
     DropConnectionLocked("send to peer " + std::to_string(spec_.node_id) +
                          " failed");
@@ -131,38 +199,22 @@ Status PeerLink::SendLocked(net::FrameType type, const std::string& payload) {
   return sent;
 }
 
-void PeerLink::ReaderLoop() {
-  auto dead = conn_dead_;
+void PeerLink::ReaderLoop(std::shared_ptr<Connection> conn,
+                          std::shared_ptr<std::atomic<bool>> done) {
   for (;;) {
-    auto frame = net::RecvFrame(sock_, /*header_timeout_ms=*/-1,
+    auto frame = net::RecvFrame(conn->sock, /*header_timeout_ms=*/-1,
                                 opts_.io_timeout_ms);
     if (!frame.ok()) break;
     if (frame.value().type == net::FrameType::kOutcome) {
       auto m = net::DecodeOutcome(frame.value().payload);
       if (!m.ok()) break;  // corrupt stream: drop the connection
-      OutcomeHandler handler;
-      {
-        std::lock_guard<std::mutex> lock(pending_mu_);
-        auto it = pending_submits_.find(m.value().req_id);
-        if (it != pending_submits_.end()) {
-          handler = std::move(it->second);
-          pending_submits_.erase(it);
-        }
+      if (OutcomeHandler handler = conn->TakeSubmit(m.value().req_id)) {
+        handler(m.value().outcome);
       }
-      if (handler) handler(m.value().outcome);
     } else if (frame.value().type == net::FrameType::kWriteReply) {
       auto m = net::DecodeWriteReply(frame.value().payload);
       if (!m.ok()) break;
-      std::shared_ptr<WriteWait> wait;
-      {
-        std::lock_guard<std::mutex> lock(pending_mu_);
-        auto it = pending_writes_.find(m.value().req_id);
-        if (it != pending_writes_.end()) {
-          wait = it->second;
-          pending_writes_.erase(it);
-        }
-      }
-      if (wait) {
+      if (auto wait = conn->TakeWrite(m.value().req_id)) {
         std::lock_guard<std::mutex> lock(wait->mu);
         wait->reply = std::move(m.value());
         wait->done = true;
@@ -172,81 +224,39 @@ void PeerLink::ReaderLoop() {
       break;  // protocol violation: only replies flow to the connector
     }
   }
-  dead->store(true, std::memory_order_release);
-  FailAllPending("connection to peer " + std::to_string(spec_.node_id) +
-                 " lost");
+  conn->FailAll(LostReason());
+  done->store(true, std::memory_order_release);
 }
 
 void PeerLink::DropConnectionLocked(const std::string& why) {
-  if (reader_.joinable()) {
-    sock_.ShutdownBoth();
-    reader_.join();
-  }
-  sock_.Close();
-  connected_ = false;
-  conn_dead_.reset();
-  FailAllPending(why);
-}
-
-void PeerLink::FailAllPending(const std::string& why) {
-  std::vector<OutcomeHandler> handlers;
-  std::vector<std::shared_ptr<WriteWait>> writes;
-  {
-    std::lock_guard<std::mutex> lock(pending_mu_);
-    handlers.reserve(pending_submits_.size());
-    for (auto& [id, h] : pending_submits_) handlers.push_back(std::move(h));
-    pending_submits_.clear();
-    writes.reserve(pending_writes_.size());
-    for (auto& [id, w] : pending_writes_) writes.push_back(w);
-    pending_writes_.clear();
-  }
-  auto outcome = UnavailableOutcome(why);
-  for (auto& h : handlers) h(outcome);
-  for (auto& w : writes) {
-    std::lock_guard<std::mutex> lock(w->mu);
-    w->reply.status = Status::Unavailable(why);
-    w->done = true;
-    w->cv.notify_all();
-  }
+  conn_->SetCloseReason(why);
+  conn_->sock.ShutdownBoth();
+  conn_.reset();
 }
 
 uint64_t PeerLink::Submit(net::SubmitMsg msg, OutcomeHandler handler) {
-  uint64_t req_id;
-  {
-    std::lock_guard<std::mutex> lock(pending_mu_);
-    req_id = next_req_id_++;
-  }
+  uint64_t req_id = next_req_id_.fetch_add(1, std::memory_order_relaxed);
   msg.req_id = req_id;
   std::string payload = net::Encode(msg);
 
+  // The handler never fires under conn_mu_: it may re-submit on this link.
+  std::shared_ptr<Connection> conn;
   Status sent;
   {
     std::lock_guard<std::mutex> conn_lock(conn_mu_);
-    if (Status s = EnsureConnectedLocked(); !s.ok()) {
-      handler(UnavailableOutcome(s.message()));
-      return req_id;
+    sent = EnsureConnectedLocked();
+    // Register before sending so a fast reply always finds its handler.
+    if (sent.ok() && conn_->AddSubmit(req_id, handler)) {
+      conn = conn_;
+      sent = SendLocked(net::FrameType::kSubmit, payload);
+    } else if (sent.ok()) {
+      sent = Status::Unavailable(LostReason());
     }
-    // Register before sending so a fast reply always finds its handler;
-    // the reader only ever takes pending_mu_, so the conn_mu_ ->
-    // pending_mu_ order here cannot deadlock.
-    {
-      std::lock_guard<std::mutex> lock(pending_mu_);
-      pending_submits_[req_id] = std::move(handler);
-    }
-    sent = SendLocked(net::FrameType::kSubmit, payload);
   }
   if (!sent.ok()) {
-    // If the reader's FailAllPending got there first the handler already
-    // fired; only fail it ourselves if we win the extraction.
-    OutcomeHandler mine;
-    {
-      std::lock_guard<std::mutex> lock(pending_mu_);
-      auto it = pending_submits_.find(req_id);
-      if (it != pending_submits_.end()) {
-        mine = std::move(it->second);
-        pending_submits_.erase(it);
-      }
-    }
+    // Once registered, the reader may have failed the handler already;
+    // fire it here only if we win the extraction.
+    OutcomeHandler mine = conn ? conn->TakeSubmit(req_id) : std::move(handler);
     if (mine) mine(UnavailableOutcome(sent.message()));
   }
   return req_id;
@@ -262,25 +272,25 @@ void PeerLink::Cancel(uint64_t req_id) {
 
 net::WriteReplyMsg PeerLink::Write(const std::string& sql) {
   auto wait = std::make_shared<WriteWait>();
-  uint64_t req_id;
-  {
-    std::lock_guard<std::mutex> lock(pending_mu_);
-    req_id = next_req_id_++;
-    pending_writes_[req_id] = wait;
-  }
   net::WriteMsg m;
-  m.req_id = req_id;
+  m.req_id = next_req_id_.fetch_add(1, std::memory_order_relaxed);
   m.sql = sql;
+  std::shared_ptr<Connection> conn;
   Status sent;
   {
     std::lock_guard<std::mutex> lock(conn_mu_);
-    sent = SendLocked(net::FrameType::kWrite, net::Encode(m));
+    sent = EnsureConnectedLocked();
+    if (sent.ok() && conn_->AddWrite(m.req_id, wait)) {
+      conn = conn_;
+      sent = SendLocked(net::FrameType::kWrite, net::Encode(m));
+    } else if (sent.ok()) {
+      sent = Status::Unavailable(LostReason());
+    }
   }
   if (!sent.ok()) {
-    std::lock_guard<std::mutex> lock(pending_mu_);
-    pending_writes_.erase(req_id);
+    if (conn) conn->TakeWrite(m.req_id);
     net::WriteReplyMsg reply;
-    reply.req_id = req_id;
+    reply.req_id = m.req_id;
     reply.status = sent;
     return reply;
   }
@@ -289,14 +299,11 @@ net::WriteReplyMsg PeerLink::Write(const std::string& sql) {
       lock, std::chrono::milliseconds(opts_.io_timeout_ms),
       [&] { return wait->done; });
   if (!done) {
-    {
-      std::lock_guard<std::mutex> plock(pending_mu_);
-      pending_writes_.erase(req_id);
-    }
+    conn->TakeWrite(m.req_id);
     // Re-check under wait->mu: the reader may have completed it between
     // the wait timing out and the deregistration.
     if (!wait->done) {
-      wait->reply.req_id = req_id;
+      wait->reply.req_id = m.req_id;
       wait->reply.status =
           Status::Unavailable("write to storage owner timed out");
     }
@@ -332,10 +339,25 @@ bool PeerLink::ConfirmPush(uint64_t generation, uint64_t version) {
 }
 
 void PeerLink::Close() {
-  std::lock_guard<std::mutex> lock(conn_mu_);
-  if (closed_) return;
-  closed_ = true;
-  DropConnectionLocked("peer link closed");
+  std::vector<Reader> readers;
+  {
+    std::lock_guard<std::mutex> lock(conn_mu_);
+    closed_ = true;
+    if (conn_) DropConnectionLocked("peer link closed");
+    readers.swap(readers_);
+  }
+  // Each reader fails its connection's requests before it exits, so
+  // every handler has fired once these joins return. A reader cannot join
+  // itself (Close called from a handler): it stays for the destructor's
+  // Close to join.
+  for (auto& r : readers) {
+    if (r.thread.get_id() == std::this_thread::get_id()) {
+      std::lock_guard<std::mutex> lock(conn_mu_);
+      readers_.push_back(std::move(r));
+    } else {
+      r.thread.join();
+    }
+  }
 }
 
 }  // namespace eq::cluster

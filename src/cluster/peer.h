@@ -11,6 +11,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <vector>
 
 #include "net/socket.h"
 #include "net/wire.h"
@@ -41,8 +42,10 @@ struct PeerSpec {
 /// timeout per request.
 ///
 /// Thread safety: all public methods are safe from any thread. Outcome
-/// handlers fire on the reader thread (or the failing caller's thread);
-/// keep them bounded.
+/// handlers fire on the reader thread (or the failing caller's thread)
+/// with no link lock held, so a handler may call back into the link —
+/// re-submitting on kUnavailable included. A connection's reader runs
+/// its handlers one at a time; keep them bounded.
 class PeerLink {
  public:
   /// Fires exactly once per Submit: with the remote outcome, or with a
@@ -115,7 +118,8 @@ class PeerLink {
   bool ConfirmPush(uint64_t generation, uint64_t version);
 
   /// Permanently closes the link: fails all in-flight requests with
-  /// kUnavailable and rejects future operations.
+  /// kUnavailable and rejects future operations. Every handler has fired
+  /// when it returns, except when called from a handler itself.
   void Close();
 
  private:
@@ -126,6 +130,41 @@ class PeerLink {
     net::WriteReplyMsg reply;
   };
 
+  /// One TCP connection and the requests in flight on it. Its reader
+  /// thread shares ownership, and it alone fails the connection's
+  /// requests once the connection ends, so a torn-down connection never
+  /// touches the requests of the one that replaced it.
+  struct Connection {
+    net::Socket sock;
+
+    /// Each returns false, registering nothing, once the reader has
+    /// failed the connection's requests.
+    bool AddSubmit(uint64_t req_id, OutcomeHandler& handler);
+    bool AddWrite(uint64_t req_id, std::shared_ptr<WriteWait> wait);
+    /// Removes and returns a request; empty if it already resolved.
+    OutcomeHandler TakeSubmit(uint64_t req_id);
+    std::shared_ptr<WriteWait> TakeWrite(uint64_t req_id);
+    bool open();
+    /// The reason the reader reports when it fails what is in flight.
+    void SetCloseReason(const std::string& why);
+    /// Called by the reader as it exits: closes registration and fails
+    /// every request still in flight with kUnavailable.
+    void FailAll(std::string why);
+
+   private:
+    std::mutex mu_;
+    bool open_ = true;
+    std::string close_reason_;
+    std::unordered_map<uint64_t, OutcomeHandler> submits_;
+    std::unordered_map<uint64_t, std::shared_ptr<WriteWait>> writes_;
+  };
+
+  struct Reader {
+    std::thread thread;
+    /// Set as the reader's last step: joining it then cannot block.
+    std::shared_ptr<std::atomic<bool>> done;
+  };
+
   /// Establishes the connection + handshake if needed. Called with
   /// conn_mu_ held. kUnavailable when the peer is down or backing off.
   Status EnsureConnectedLocked();
@@ -133,24 +172,25 @@ class PeerLink {
   /// reconnecting first if needed; one immediate retry if the send fails
   /// on a connection that was already open (it may have died idle).
   Status SendLocked(net::FrameType type, const std::string& payload);
-  void ReaderLoop();
-  /// Tears down the current connection (conn_mu_ held) and fails every
-  /// pending request with kUnavailable.
+  void ReaderLoop(std::shared_ptr<Connection> conn,
+                  std::shared_ptr<std::atomic<bool>> done);
+  /// Shuts the current connection down (conn_mu_ held). Joins and fires
+  /// nothing: the connection's reader wakes, fails its requests with
+  /// kUnavailable and exits.
   void DropConnectionLocked(const std::string& why);
-  void FailAllPending(const std::string& why);
+  std::string LostReason() const;
 
   const PeerSpec spec_;
   const Options opts_;
   const StringInterner* interner_;
 
   mutable std::mutex conn_mu_;
-  net::Socket sock_;
-  std::thread reader_;
-  bool connected_ = false;
+  std::shared_ptr<Connection> conn_;  ///< null while disconnected
+  /// Readers not yet joined: the live connection's and any that are still
+  /// failing a torn-down connection's requests. Finished ones are joined
+  /// at the next connect, the rest by Close.
+  std::vector<Reader> readers_;
   bool closed_ = false;
-  /// Set by the reader thread on connection loss; the next sender under
-  /// conn_mu_ observes it and tears down before reconnecting.
-  std::shared_ptr<std::atomic<bool>> conn_dead_;
   std::chrono::steady_clock::time_point next_attempt_{};
   int backoff_ms_ = 0;
   uint64_t shared_sym_prefix_v_ = 0;
@@ -160,10 +200,7 @@ class PeerLink {
   /// while a delta was in flight.
   uint64_t conn_generation_v_ = 0;
 
-  std::mutex pending_mu_;
-  uint64_t next_req_id_ = 1;
-  std::unordered_map<uint64_t, OutcomeHandler> pending_submits_;
-  std::unordered_map<uint64_t, std::shared_ptr<WriteWait>> pending_writes_;
+  std::atomic<uint64_t> next_req_id_{1};
 };
 
 }  // namespace eq::cluster

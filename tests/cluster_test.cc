@@ -7,15 +7,19 @@
 // Covered: cross-node entangled-pair coordination, write-triggered
 // wake-up of a remote pending query via snapshot delta replication,
 // backend-agnostic Session code, cross-node group-merge migration,
-// peer-death -> kUnavailable (never a hang), handshake catalog
-// verification, and garbage-on-the-port robustness.
+// peer-death -> kUnavailable (never a hang), callbacks that re-submit
+// from inside a link failure, handshake catalog verification, and
+// garbage-on-the-port robustness.
 
 #include "db/database.h"
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <future>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "client/session.h"
@@ -316,6 +320,98 @@ TEST(ClusterTest, KillingPeerMidFlightFailsPendingTicketUnavailable) {
       << t->outcome().status.ToString();
   EXPECT_LT(std::chrono::steady_clock::now() - start,
             std::chrono::seconds(8));
+}
+
+/// Submits `text` with a callback that re-submits it once, the way a
+/// client retries on kUnavailable; the retry's outcome fulfils `retried`.
+/// The link fires the first callback from inside its own failure path, so
+/// the retry re-enters the link that just failed.
+struct Resubmitter {
+  ClusterService* svc = nullptr;
+  std::string text;
+  std::promise<ServiceOutcome> retried;
+  std::atomic<int> first_calls{0};
+  std::atomic<int> retry_calls{0};
+  std::atomic<int> first_code{-1};
+
+  void Submit() {
+    service::SubmitOptions first;
+    first.callback = [this](service::TicketId, const ServiceOutcome& out) {
+      first_calls.fetch_add(1);
+      first_code.store(static_cast<int>(out.status.code()));
+      service::SubmitOptions again;
+      again.callback = [this](service::TicketId, const ServiceOutcome& o) {
+        if (retry_calls.fetch_add(1) == 0) retried.set_value(o);
+      };
+      auto t = svc->Submit(Query::Ir(text), std::move(again));
+      if (!t.ok()) {
+        ServiceOutcome failed;
+        failed.state = ServiceOutcome::State::kFailed;
+        failed.status = t.status();
+        if (retry_calls.fetch_add(1) == 0) retried.set_value(failed);
+      }
+    };
+    auto t = svc->Submit(Query::Ir(text), std::move(first));
+    ASSERT_TRUE(t.ok()) << t.status().ToString();
+  }
+
+  void ExpectBothUnavailableOnce(const ServiceOutcome& retry) {
+    EXPECT_EQ(retry.state, ServiceOutcome::State::kFailed);
+    EXPECT_EQ(retry.status.code(), StatusCode::kUnavailable)
+        << retry.status.ToString();
+    EXPECT_EQ(first_code.load(), static_cast<int>(StatusCode::kUnavailable));
+    // A duplicate resolution would land after the first; give it time.
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    EXPECT_EQ(first_calls.load(), 1);
+    EXPECT_EQ(retry_calls.load(), 1);
+  }
+};
+
+TEST(ClusterTest, CallbackResubmittingToDeadPeerDoesNotDeadlock) {
+  Resubmitter r;  // outlives the node whose callbacks point at it
+  uint16_t pa = PickFreePort();
+  uint16_t dead = PickFreePort();
+  auto node = ClusterNode::Start(NodeOpts(0, pa, 1, dead));
+  ASSERT_TRUE(node.ok()) << node.status().ToString();
+
+  // The connect to the dead owner fails inside Submit, so the first
+  // callback runs on the submitting thread; submit from a helper thread
+  // so a deadlock there shows up as a timeout here.
+  r.svc = &node.value()->service();
+  r.text = PairFor(RelationOwnedBy(*r.svc, 1, "D"), "Paris").first;
+  auto retried = r.retried.get_future();
+  std::thread submitter([&r] { r.Submit(); });
+  if (retried.wait_for(kWait) != std::future_status::ready) {
+    ADD_FAILURE() << "re-submit from a failing link's callback deadlocked";
+    // The submitter still holds the link's lock: leak the node and the
+    // thread rather than hang the suite in their destructors.
+    submitter.detach();
+    (void)node.value().release();
+    return;
+  }
+  submitter.join();
+  r.ExpectBothUnavailableOnce(retried.get());
+}
+
+TEST(ClusterTest, CallbackResubmittingWhenPeerDiesMidFlightDoesNotAbort) {
+  Resubmitter r;  // outlives the nodes whose callbacks point at it
+  TwoNodes cluster;
+  ASSERT_TRUE(cluster.a && cluster.b);
+
+  // Half a pair, owned by node 1: forwarded there and parked pending.
+  r.svc = &cluster.a->service();
+  r.text = PairFor(RelationOwnedBy(*r.svc, 1, "M"), "Paris").first;
+  auto retried = r.retried.get_future();
+  r.Submit();
+  EXPECT_NE(retried.wait_for(std::chrono::milliseconds(200)),
+            std::future_status::ready);
+
+  // The peer's death fails the forwarded submit on node 0's reader
+  // thread, and the callback re-submits through the same link from there.
+  cluster.b->Stop();
+  ASSERT_EQ(retried.wait_for(kWait), std::future_status::ready)
+      << "re-submit from the reader thread never resolved";
+  r.ExpectBothUnavailableOnce(retried.get());
 }
 
 TEST(ClusterTest, CancelReachesForwardedQuery) {
